@@ -9,7 +9,7 @@
 
 #include "core/mode_tables.hpp"
 #include "sim/batch_runner.hpp"
-#include "sim/hybrid_nor_channel.hpp"
+#include "sim/hybrid_gate_channel.hpp"
 #include "util/rng.hpp"
 #include "waveform/generator.hpp"
 
@@ -29,17 +29,17 @@ sim::CircuitFactory mesh_factory(int n_stages) {
     sim::Circuit::NetId x = a;
     sim::Circuit::NetId y = b;
     for (int s = 0; s < n_stages; ++s) {
-      const auto nx = circuit->add_nor2_mis(
-          "x" + std::to_string(s), x, y,
-          std::make_unique<sim::HybridNorChannel>(tables));
-      const auto ny = circuit->add_nor2_mis(
-          "y" + std::to_string(s), y, x,
-          std::make_unique<sim::HybridNorChannel>(tables));
+      const auto nx = circuit->add_mis_gate(
+          sim::GateKind::kNor2, "x" + std::to_string(s), {x, y},
+          std::make_unique<sim::HybridGateChannel>(tables));
+      const auto ny = circuit->add_mis_gate(
+          sim::GateKind::kNor2, "y" + std::to_string(s), {y, x},
+          std::make_unique<sim::HybridGateChannel>(tables));
       x = nx;
       y = ny;
     }
-    circuit->add_nor2_mis("out", x, y,
-                          std::make_unique<sim::HybridNorChannel>(tables));
+    circuit->add_mis_gate(sim::GateKind::kNor2, "out", {x, y},
+                          std::make_unique<sim::HybridGateChannel>(tables));
     return circuit;
   };
 }

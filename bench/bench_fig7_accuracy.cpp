@@ -16,7 +16,8 @@
 
 #include "bench_common.hpp"
 #include "sim/accuracy.hpp"
-#include "sim/hybrid_nor_channel.hpp"
+#include "sim/gate_models.hpp"
+#include "sim/hybrid_gate_channel.hpp"
 #include "sim/nor_models.hpp"
 #include "sim/surface_nor_channel.hpp"
 
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
 
   const auto cal = bench::calibrate();
 
-  sim::SisNorDelays sis;
+  sim::SisGateDelays sis;
   sis.rise =
       0.5 * (cal.substrate.rise_minus_inf + cal.substrate.rise_plus_inf);
   sis.fall =
@@ -51,27 +52,31 @@ int main(int argc, char** argv) {
   }
 
   std::vector<sim::ModelUnderTest> models;
-  models.push_back(
-      {"inertial delay", [&] { return sim::make_inertial_nor(sis); }, true});
+  models.push_back({"inertial delay",
+                    [&] {
+                      return sim::make_inertial_gate(
+                          core::GateTopology::kNorLike, 2, sis);
+                    },
+                    true});
   models.push_back({"Exp-Channel dmin=20ps",
                     [&] { return sim::make_exp_nor(sis, 20e-12); }, false});
   models.push_back({"HM without dmin",
                     [&] {
-                      return std::make_unique<sim::HybridNorChannel>(
-                          cal.params_stripped);
+                      return std::make_unique<sim::HybridGateChannel>(
+                          core::GateParams::from_nor(cal.params_stripped));
                     },
                     false});
   models.push_back({"HM with dmin",
                     [&] {
-                      return std::make_unique<sim::HybridNorChannel>(
-                          cal.params);
+                      return std::make_unique<sim::HybridGateChannel>(
+                          core::GateParams::from_nor(cal.params));
                     },
                     false});
   if (ablation) {
     models.push_back({"HM refit dmin=0",
                       [&] {
-                        return std::make_unique<sim::HybridNorChannel>(
-                            fit0.params);
+                        return std::make_unique<sim::HybridGateChannel>(
+                            core::GateParams::from_nor(fit0.params));
                       },
                       false});
     models.push_back({"HM delay-function",

@@ -7,10 +7,11 @@
 #include <memory>
 #include <vector>
 
-#include "core/nor_params.hpp"
+#include "core/gate_params.hpp"
 #include "obs/trace_recorder.hpp"
 #include "sim/circuit.hpp"
-#include "sim/hybrid_nor_channel.hpp"
+#include "sim/exp_channel.hpp"
+#include "sim/hybrid_gate_channel.hpp"
 #include "sim/nor_models.hpp"
 #include "sim/run_channel.hpp"
 #include "sim/run_guard.hpp"
@@ -45,11 +46,12 @@ double t_end() {
          1e-9;
 }
 
-sim::SisNorDelays sis_delays() { return {51e-12, 46e-12}; }
+sim::SisGateDelays sis_delays() { return {51e-12, 46e-12}; }
 
 void BM_InertialNorTrace(benchmark::State& state) {
   for (auto _ : state) {
-    auto gate = sim::make_inertial_nor(sis_delays());
+    auto gate = sim::make_inertial_gate(core::GateTopology::kNorLike, 2,
+                                        sis_delays());
     const auto out =
         sim::run_gate_channel(*gate, trace_a(), trace_b(), 0.0, t_end());
     benchmark::DoNotOptimize(out.n_transitions());
@@ -78,9 +80,9 @@ void BM_SumExpNorTrace(benchmark::State& state) {
 BENCHMARK(BM_SumExpNorTrace);
 
 void BM_HybridNorTrace(benchmark::State& state) {
-  const auto params = core::NorParams::paper_table1();
+  const auto params = core::GateParams::nor2_reference();
   for (auto _ : state) {
-    sim::HybridNorChannel gate(params);
+    sim::HybridGateChannel gate(params);
     const auto out =
         sim::run_gate_channel(gate, trace_a(), trace_b(), 0.0, t_end());
     benchmark::DoNotOptimize(out.n_transitions());
@@ -90,8 +92,8 @@ BENCHMARK(BM_HybridNorTrace);
 
 // Per-event costs: one input transition + pending query.
 void BM_HybridSingleEvent(benchmark::State& state) {
-  const auto params = core::NorParams::paper_table1();
-  sim::HybridNorChannel gate(params);
+  const auto params = core::GateParams::nor2_reference();
+  sim::HybridGateChannel gate(params);
   gate.initialize(0.0, {false, false});
   double t = 0.0;
   bool v = true;
@@ -110,12 +112,12 @@ BENCHMARK(BM_HybridSingleEvent);
 // check_interval events; the pair of numbers documents that this is in the
 // measurement noise (acceptance bar: < 2 %).
 void BM_HybridCircuitTrace(benchmark::State& state) {
-  const auto params = core::NorParams::paper_table1();
+  const auto params = core::GateParams::nor2_reference();
   sim::Circuit circuit;
   const auto a = circuit.add_input("a");
   const auto b = circuit.add_input("b");
-  circuit.add_nor2_mis("out", a, b,
-                       std::make_unique<sim::HybridNorChannel>(params));
+  circuit.add_mis_gate(sim::GateKind::kNor2, "out", {a, b},
+                       std::make_unique<sim::HybridGateChannel>(params));
   const std::vector<waveform::DigitalTrace> stimuli{trace_a(), trace_b()};
   for (auto _ : state) {
     const auto out = circuit.simulate(stimuli, 0.0, t_end());
@@ -125,12 +127,12 @@ void BM_HybridCircuitTrace(benchmark::State& state) {
 BENCHMARK(BM_HybridCircuitTrace);
 
 void BM_HybridCircuitTraceGuarded(benchmark::State& state) {
-  const auto params = core::NorParams::paper_table1();
+  const auto params = core::GateParams::nor2_reference();
   sim::Circuit circuit;
   const auto a = circuit.add_input("a");
   const auto b = circuit.add_input("b");
-  circuit.add_nor2_mis("out", a, b,
-                       std::make_unique<sim::HybridNorChannel>(params));
+  circuit.add_mis_gate(sim::GateKind::kNor2, "out", {a, b},
+                       std::make_unique<sim::HybridGateChannel>(params));
   const std::vector<waveform::DigitalTrace> stimuli{trace_a(), trace_b()};
   sim::RunBudget budget;
   budget.max_events = 1'000'000'000;  // armed, never trips
@@ -149,12 +151,12 @@ BENCHMARK(BM_HybridCircuitTraceGuarded);
 // instrumentation must be in the noise, armed recording stays small (one
 // clock pair + ring store per window slice, not per event).
 void BM_HybridCircuitTraceInstrumented(benchmark::State& state) {
-  const auto params = core::NorParams::paper_table1();
+  const auto params = core::GateParams::nor2_reference();
   sim::Circuit circuit;
   const auto a = circuit.add_input("a");
   const auto b = circuit.add_input("b");
-  circuit.add_nor2_mis("out", a, b,
-                       std::make_unique<sim::HybridNorChannel>(params));
+  circuit.add_mis_gate(sim::GateKind::kNor2, "out", {a, b},
+                       std::make_unique<sim::HybridGateChannel>(params));
   const std::vector<waveform::DigitalTrace> stimuli{trace_a(), trace_b()};
   obs::TraceRecorder::start();
   for (auto _ : state) {

@@ -8,7 +8,8 @@
 
 #include "core/parametrize.hpp"
 #include "sim/accuracy.hpp"
-#include "sim/hybrid_nor_channel.hpp"
+#include "sim/gate_models.hpp"
+#include "sim/hybrid_gate_channel.hpp"
 #include "sim/nor_models.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -40,15 +41,23 @@ int main(int argc, char** argv) {
   fopts.vdd = tech.vdd;
   const auto fit = core::fit_nor_params(targets, fopts);
 
-  sim::SisNorDelays sis;
+  sim::SisGateDelays sis;
   sis.rise = 0.5 * (sub.rise_minus_inf + sub.rise_plus_inf);
   sis.fall = 0.5 * (sub.fall_minus_inf + sub.fall_plus_inf);
 
   std::vector<sim::ModelUnderTest> models;
-  models.push_back(
-      {"inertial", [&] { return sim::make_inertial_nor(sis); }, true});
-  models.push_back(
-      {"pure delay", [&] { return sim::make_pure_nor(sis); }, false});
+  models.push_back({"inertial",
+                    [&] {
+                      return sim::make_inertial_gate(
+                          core::GateTopology::kNorLike, 2, sis);
+                    },
+                    true});
+  models.push_back({"pure delay",
+                    [&] {
+                      return sim::make_pure_gate(core::GateTopology::kNorLike,
+                                                 2, sis);
+                    },
+                    false});
   models.push_back(
       {"exp (IDM)", [&] { return sim::make_exp_nor(sis, 20e-12); }, false});
   models.push_back(
@@ -56,8 +65,8 @@ int main(int argc, char** argv) {
        [&] { return sim::make_sumexp_nor(sis, 20e-12); }, false});
   models.push_back({"hybrid (paper)",
                     [&] {
-                      return std::make_unique<sim::HybridNorChannel>(
-                          fit.params);
+                      return std::make_unique<sim::HybridGateChannel>(
+                          core::GateParams::from_nor(fit.params));
                     },
                     false});
 

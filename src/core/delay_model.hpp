@@ -12,13 +12,16 @@
 //   earlier input falls (mode (1,0) for Delta < 0, (0,1) for Delta > 0); at
 //   t = |Delta| the later one falls (mode (0,0)). The delay is measured from
 //   the later input:  delta_rise(Delta) = tO - |Delta| + delta_min.
+//
+// Every delay is a scripted input sequence evaluated by the N-input gate
+// core (core::gate_output_crossing on the NOR2 mode tables), so this class
+// is the paper's typed view of GateParams::from_nor(params), not a second
+// evaluator.
 #pragma once
 
-#include <optional>
-
-#include "core/crossing.hpp"
+#include "core/mode_tables.hpp"
+#include "core/modes.hpp"
 #include "core/nor_params.hpp"
-#include "core/trajectory.hpp"
 
 namespace charlie::core {
 
@@ -30,6 +33,8 @@ struct DelayResult {
 
 class NorDelayModel {
  public:
+  /// Validates `params` (throws ConfigError) and derives the NOR2 mode
+  /// tables once.
   explicit NorDelayModel(const NorParams& params);
 
   /// delta_fall(Delta): falling-output MIS delay; Delta = tB - tA.
@@ -46,15 +51,13 @@ class NorDelayModel {
   double rising_sis_b_first(double vn0 = 0.0) const;  // delta_rise(-inf)
   double rising_sis_a_first(double vn0 = 0.0) const;  // delta_rise(+inf)
 
-  const NorParams& params() const { return params_; }
+  const NorParams& params() const { return tables_.params(); }
 
   /// Largest mode time constant (search-horizon building block).
   double slowest_time_constant() const;
 
  private:
-  double horizon_after(double t) const;
-
-  NorParams params_;
+  NorModeTables tables_;
 };
 
 }  // namespace charlie::core

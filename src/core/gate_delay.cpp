@@ -10,41 +10,6 @@ namespace charlie::core {
 
 namespace {
 
-// Scalar expansion of V_O on one mode segment entered at x_ref (same form
-// the event channel uses; see ModeTable).
-struct ScalarVo {
-  bool valid = false;
-  double d = 0.0;
-  double a1 = 0.0;
-  double l1 = 0.0;
-  double a2 = 0.0;
-  double l2 = 0.0;
-};
-
-ScalarVo scalar_for(const ModeTable& mt, const ode::Vec2& x_ref) {
-  ScalarVo s;
-  s.valid = mt.scalar_valid;
-  if (!s.valid) return s;
-  const ode::Vec2 dev = x_ref - mt.xp;
-  double a1 = mt.p1c * dev.x + mt.p1d * dev.y;
-  double a2 = dev.y - a1;
-  double d = mt.d;
-  if (mt.fold1) {
-    d += a1;
-    a1 = 0.0;
-  }
-  if (mt.fold2) {
-    d += a2;
-    a2 = 0.0;
-  }
-  s.d = d;
-  s.a1 = a1;
-  s.l1 = mt.l1;
-  s.a2 = a2;
-  s.l2 = mt.l2;
-  return s;
-}
-
 ode::Vec2 advance(const ModeTable& mt, const ode::Vec2& x_ref, double tau) {
   if (tau <= 0.0) return x_ref;
   if (mt.spectral_valid) {
@@ -59,13 +24,9 @@ ode::Vec2 advance(const ModeTable& mt, const ode::Vec2& x_ref, double tau) {
 
 double mode_table_crossing(const ModeTable& mt, const ode::Vec2& x_ref,
                            double tau_end, double vth, bool rising) {
-  const ScalarVo sc = scalar_for(mt, x_ref);
+  const TwoExpVo sc = two_exp_expand(mt, x_ref);
   auto vo = [&](double tau) {
-    if (sc.valid) {
-      return sc.d + sc.a1 * std::exp(sc.l1 * tau) +
-             sc.a2 * std::exp(sc.l2 * tau);
-    }
-    return advance(mt, x_ref, tau).y;
+    return sc.valid ? sc.value(tau) : advance(mt, x_ref, tau).y;
   };
   constexpr int kSteps = 256;
   const double step = tau_end / kSteps;

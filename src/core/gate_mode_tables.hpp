@@ -56,6 +56,25 @@ struct ModeTable {
   ode::Mat2 s2{};
 };
 
+/// Scalar expansion of the output voltage on one mode segment. `valid` is
+/// false when the mode's spectrum is defective/complex; callers must then
+/// fall back to a generic scan of the state evolution.
+struct TwoExpVo {
+  bool valid = false;
+  double d = 0.0;
+  double a1 = 0.0;
+  double l1 = 0.0;
+  double a2 = 0.0;
+  double l2 = 0.0;
+
+  double value(double tau) const;
+};
+
+/// Expansion of a mode table entered at state `x_ref`: the mode-constant
+/// pieces (l1, l2, projector row, particular solution) come precomputed
+/// from the table; only the amplitudes depend on the entry state.
+TwoExpVo two_exp_expand(const ModeTable& mt, const ode::Vec2& x_ref);
+
 /// Derive every expansion field of a ModeTable (particular solution, scalar
 /// two-exponential coefficients, spectral projectors) from its affine ODE.
 /// `steady` is left default -- it encodes model-specific conventions (frozen

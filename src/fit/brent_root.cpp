@@ -81,41 +81,4 @@ double brent_root(const ScalarFn& f, double a, double b,
   throw charlie::ConvergenceError("brent_root: max iterations exceeded");
 }
 
-std::optional<std::pair<double, double>> expand_bracket_right(
-    const ScalarFn& f, double a, double b, double limit, double growth) {
-  CHARLIE_ASSERT(b > a);
-  CHARLIE_ASSERT(growth > 1.0);
-  double fa = f(a);
-  double fb = f(b);
-  while (fa * fb > 0.0) {
-    if (b >= limit) return std::nullopt;
-    const double width = (b - a) * growth;
-    a = b;
-    fa = fb;
-    b = std::min(a + width, limit);
-    fb = f(b);
-  }
-  return std::make_pair(a, b);
-}
-
-std::optional<double> first_root_after(const ScalarFn& f, double t0,
-                                       double step, double limit,
-                                       const RootOptions& opts) {
-  CHARLIE_ASSERT(step > 0.0);
-  CHARLIE_ASSERT(limit > t0);
-  double a = t0;
-  double fa = f(a);
-  if (fa == 0.0) return a;
-  while (a < limit) {
-    const double b = std::min(a + step, limit);
-    const double fb = f(b);
-    if (fa * fb <= 0.0) {
-      return brent_root(f, a, b, opts);
-    }
-    a = b;
-    fa = fb;
-  }
-  return std::nullopt;
-}
-
 }  // namespace charlie::fit

@@ -1,11 +1,10 @@
-// Scalar root finding (Brent's method) and bracket expansion.
+// Scalar root finding (Brent's method).
 //
 // Used by the core library to locate output threshold crossings
 // V_O(t) = VDD/2 on the closed-form mode trajectories.
 #pragma once
 
 #include <functional>
-#include <optional>
 
 namespace charlie::fit {
 
@@ -22,20 +21,5 @@ struct RootOptions {
 /// when the bracket is invalid.
 double brent_root(const ScalarFn& f, double a, double b,
                   const RootOptions& opts = {});
-
-/// Expand [a, b] geometrically to the right until f changes sign or `limit`
-/// is reached. Returns the bracketing interval, or nullopt if no sign change
-/// was found below the limit.
-std::optional<std::pair<double, double>> expand_bracket_right(
-    const ScalarFn& f, double a, double b, double limit,
-    double growth = 2.0);
-
-/// Convenience: find the first root of `f` at or after `t0`, scanning with
-/// initial step `step` up to `limit`. Returns nullopt when f never changes
-/// sign in [t0, limit]. The scan subdivides each step so a double crossing
-/// inside one step is still detected as long as step <= the feature width.
-std::optional<double> first_root_after(const ScalarFn& f, double t0,
-                                       double step, double limit,
-                                       const RootOptions& opts = {});
 
 }  // namespace charlie::fit

@@ -54,13 +54,6 @@ Circuit::NetId Circuit::add_gate(GateKind kind,
   return out;
 }
 
-Circuit::NetId Circuit::add_nor2_mis(const std::string& output_name, NetId a,
-                                     NetId b,
-                                     std::unique_ptr<GateChannel> channel) {
-  return add_mis_gate(GateKind::kNor2, output_name, {a, b},
-                      std::move(channel));
-}
-
 Circuit::NetId Circuit::add_mis_gate(GateKind kind,
                                      const std::string& output_name,
                                      std::vector<NetId> inputs,

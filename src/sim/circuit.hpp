@@ -1,9 +1,9 @@
 // Event-driven digital timing simulation of gate-level circuits.
 //
 // Architecture per the Involution Tool: zero-time boolean gates whose
-// outputs drive delay channels. Any SisChannel can decorate any gate; NOR2
-// gates can alternatively carry a native two-input MIS-aware channel
-// (HybridNorChannel), which is the paper's extension.
+// outputs drive delay channels. Any SisChannel can decorate any gate; NOR and
+// NAND gates can alternatively carry a native multi-input MIS-aware channel
+// (HybridGateChannel), which is the paper's extension.
 //
 // The circuit must be combinational (acyclic); stimuli are digital traces
 // on the primary inputs.
@@ -94,15 +94,6 @@ class Circuit {
   NetId add_gate(GateKind kind, const std::string& output_name,
                  std::vector<NetId> inputs,
                  std::unique_ptr<SisChannel> channel);
-
-  /// Add a NOR2 with a native two-input gate channel (MIS-aware).
-  ///
-  /// Legacy alias: exactly add_mis_gate(GateKind::kNor2, ...). Kept for the
-  /// paper-era call sites; new code should build through sim::CircuitBuilder
-  /// (or call add_mis_gate directly). The builder path is bit-identical --
-  /// tests/cell/test_circuit_builder.cpp proves it trace-for-trace.
-  NetId add_nor2_mis(const std::string& output_name, NetId a, NetId b,
-                     std::unique_ptr<GateChannel> channel);
 
   /// Add a gate carrying a native multi-input channel (MIS-aware); the
   /// channel arity must match the gate kind (e.g. a 3-input

@@ -1,5 +1,5 @@
-// Uniform N-input gate models for the accuracy comparison, generalizing
-// sim/nor_models.hpp beyond the 2-input NOR.
+// Uniform N-input gate models for the accuracy comparison (the NOR2-only
+// Exp/SumExp baselines live in sim/nor_models.hpp).
 //
 // Every delay model is wrapped as a GateChannel so the same trace harness
 // drives them all:

@@ -1,35 +1,28 @@
 #include "sim/nor_models.hpp"
 
-#include "util/error.hpp"
+#include "sim/exp_channel.hpp"
+#include "sim/sumexp_channel.hpp"
 
 namespace charlie::sim {
 
-std::unique_ptr<GateChannel> make_inertial_nor(const SisNorDelays& delays) {
-  return make_inertial_gate(core::GateTopology::kNorLike, 2,
-                            {delays.rise, delays.fall});
-}
-
-std::unique_ptr<GateChannel> make_pure_nor(const SisNorDelays& delays) {
-  return make_pure_gate(core::GateTopology::kNorLike, 2,
-                        {delays.rise, delays.fall});
-}
-
-std::unique_ptr<GateChannel> make_exp_nor(const SisNorDelays& delays,
+std::unique_ptr<GateChannel> make_exp_nor(const SisGateDelays& delays,
                                           double delta_min) {
   ExpChannelParams p;
   p.delta_inf_up = delays.rise;
   p.delta_inf_down = delays.fall;
   p.delta_min = delta_min;
-  return std::make_unique<SisNorGate>(std::make_unique<ExpChannel>(p));
+  return std::make_unique<SisLogicGate>(core::GateTopology::kNorLike, 2,
+                                        std::make_unique<ExpChannel>(p));
 }
 
-std::unique_ptr<GateChannel> make_sumexp_nor(const SisNorDelays& delays,
+std::unique_ptr<GateChannel> make_sumexp_nor(const SisGateDelays& delays,
                                              double delta_min) {
   SumExpChannelParams p;
   p.delta_min = delta_min;
   p.calibrate_direction(true, delays.rise);
   p.calibrate_direction(false, delays.fall);
-  return std::make_unique<SisNorGate>(std::make_unique<SumExpChannel>(p));
+  return std::make_unique<SisLogicGate>(core::GateTopology::kNorLike, 2,
+                                        std::make_unique<SumExpChannel>(p));
 }
 
 }  // namespace charlie::sim

@@ -1,49 +1,25 @@
-// Uniform two-input NOR gate models for the accuracy comparison (Fig 7).
+// Two-input NOR baselines of the accuracy comparison (Fig 7) that have no
+// N-input counterpart: the Exp- and SumExp-Channel of the Involution Tool.
 //
-// Every delay model is wrapped as a GateChannel so the same trace harness
-// drives them all:
-//   * SIS-channel models (inertial, Exp, SumExp, pure) compute the boolean
-//     NOR in zero time and push the value changes through the single-input
-//     channel placed at the gate output -- exactly the Involution Tool
-//     arrangement the paper describes (and whose inability to see which
-//     input switched causes the Exp-Channel's broad-pulse errors);
-//   * the hybrid model is natively two-input (HybridNorChannel).
+// Each computes the boolean NOR in zero time and pushes the value changes
+// through the single-input channel placed at the gate output -- exactly the
+// arrangement the paper describes (and whose inability to see which input
+// switched causes the Exp-Channel's broad-pulse errors). The inertial and
+// pure-delay baselines are make_inertial_gate / make_pure_gate
+// (sim/gate_models.hpp); the hybrid model is natively multi-input
+// (HybridGateChannel).
 #pragma once
 
 #include <memory>
 
-#include "core/nor_params.hpp"
 #include "sim/channel.hpp"
-#include "sim/exp_channel.hpp"
 #include "sim/gate_models.hpp"
-#include "sim/inertial.hpp"
-#include "sim/pure_delay.hpp"
-#include "sim/sumexp_channel.hpp"
 
 namespace charlie::sim {
 
-/// Zero-time boolean NOR followed by an owned SIS output channel: the
-/// 2-input NOR instance of the generalized SisLogicGate.
-class SisNorGate final : public SisLogicGate {
- public:
-  explicit SisNorGate(std::unique_ptr<SisChannel> channel)
-      : SisLogicGate(core::GateTopology::kNorLike, 2, std::move(channel)) {}
-};
-
-/// Gate-delay figures used to parametrize the SIS baselines. Following the
-/// paper (Section VI), single-input channels cannot distinguish which input
-/// switched, so they are given the *average* of the two SIS asymptotes per
-/// transition direction.
-struct SisNorDelays {
-  double rise = 0.0;  // average of rise(-inf), rise(+inf)
-  double fall = 0.0;  // average of fall(-inf), fall(+inf)
-};
-
-std::unique_ptr<GateChannel> make_inertial_nor(const SisNorDelays& delays);
-std::unique_ptr<GateChannel> make_pure_nor(const SisNorDelays& delays);
-std::unique_ptr<GateChannel> make_exp_nor(const SisNorDelays& delays,
+std::unique_ptr<GateChannel> make_exp_nor(const SisGateDelays& delays,
                                           double delta_min);
-std::unique_ptr<GateChannel> make_sumexp_nor(const SisNorDelays& delays,
+std::unique_ptr<GateChannel> make_sumexp_nor(const SisGateDelays& delays,
                                              double delta_min);
 
 }  // namespace charlie::sim

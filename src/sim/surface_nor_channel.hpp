@@ -2,7 +2,7 @@
 //
 // This mirrors how the paper integrated the hybrid model into the
 // Involution Tool: instead of carrying the analog (V_N, V_O) state through
-// the simulation (HybridNorChannel), each output transition's delay is
+// the simulation (HybridGateChannel), each output transition's delay is
 // looked up from the precomputed MIS curves delta_fall(Delta) /
 // delta_rise(Delta) at the observed input separation (a DelaySurface).
 //

@@ -10,35 +10,6 @@
 
 namespace charlie::sim {
 
-double TwoExpVo::value(double tau) const {
-  return d + a1 * std::exp(l1 * tau) + a2 * std::exp(l2 * tau);
-}
-
-TwoExpVo two_exp_expand(const core::ModeTable& mt, const ode::Vec2& x_ref) {
-  TwoExpVo vo;
-  vo.valid = mt.scalar_valid;
-  if (!mt.scalar_valid) return vo;  // defective/complex: use the generic scan
-  const ode::Vec2 dev = x_ref - mt.xp;
-  double a1 = mt.p1c * dev.x + mt.p1d * dev.y;
-  double a2 = dev.y - a1;
-  double d = mt.d;
-  // Zero-eigenvalue components are constant and fold into d.
-  if (mt.fold1) {
-    d += a1;
-    a1 = 0.0;
-  }
-  if (mt.fold2) {
-    d += a2;
-    a2 = 0.0;
-  }
-  vo.d = d;
-  vo.a1 = a1;
-  vo.l1 = mt.l1;
-  vo.a2 = a2;
-  vo.l2 = mt.l2;
-  return vo;
-}
-
 namespace {
 
 // Root of vo.value(tau) = vth inside the sign-change bracket [lo, hi],
@@ -94,10 +65,9 @@ std::optional<TwoExpCrossing> two_exp_next_crossing(const TwoExpVo& vo,
                                                     double horizon) {
   auto f = [&](double tau) { return vo.value(tau) - vth; };
   const double tau_end = tau0 + horizon;
-  // Geometric right-expansion on the scalar form (same scheme as
-  // fit::expand_bracket_right, but monomorphized: no std::function on the
-  // per-event path). Returns the bracket with f(a) so callers don't pay the
-  // two exp() of re-evaluating the left edge.
+  // Geometric right-expansion on the scalar form (monomorphized: no
+  // std::function on the per-event path). Returns the bracket with f(a) so
+  // callers don't pay the two exp() of re-evaluating the left edge.
   struct Bracket {
     double a;
     double b;

@@ -21,24 +21,10 @@
 
 namespace charlie::sim {
 
-/// Scalar expansion of the output voltage on one mode segment. `valid` is
-/// false when the mode's spectrum is defective/complex; callers must then
-/// fall back to their generic scan.
-struct TwoExpVo {
-  bool valid = false;
-  double d = 0.0;
-  double a1 = 0.0;
-  double l1 = 0.0;
-  double a2 = 0.0;
-  double l2 = 0.0;
-
-  double value(double tau) const;
-};
-
-/// Expansion of a mode table entered at state `x_ref`: the mode-constant
-/// pieces (l1, l2, projector row, particular solution) come precomputed
-/// from the table; only the amplitudes depend on the entry state.
-TwoExpVo two_exp_expand(const core::ModeTable& mt, const ode::Vec2& x_ref);
+// The expansion itself is core's (gate_mode_tables.hpp); re-exported here
+// for the sim-side callers of the crossing search.
+using core::TwoExpVo;
+using core::two_exp_expand;
 
 struct TwoExpCrossing {
   double tau = 0.0;  // crossing offset from the segment reference time

@@ -1,17 +1,17 @@
 // sim::CircuitBuilder semantics: netlist validation (unknown cell, arity
 // mismatch, duplicate/undriven nets, cycles), topological instantiation
-// order, and the deprecation-hygiene guarantee that the legacy
-// Circuit::add_nor2_mis + HybridNorChannel path is bit-identical to the
+// order, and the guarantee that hand-wiring NOR2 gates through
+// Circuit::add_mis_gate + HybridGateChannel is bit-identical to the
 // builder + CellLibrary path.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "cell/cell_library.hpp"
-#include "core/nor_params.hpp"
+#include "core/gate_params.hpp"
 #include "sim/circuit.hpp"
 #include "sim/circuit_builder.hpp"
-#include "sim/hybrid_nor_channel.hpp"
+#include "sim/hybrid_gate_channel.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "waveform/generator.hpp"
@@ -116,17 +116,18 @@ TEST(CircuitBuilder, RejectsCombinationalCycles) {
 // --- deprecation hygiene: old API vs builder API bit-identity -------------
 
 TEST(CircuitBuilder, LegacyAddNor2MisIsBitIdenticalToBuilderPath) {
-  const auto params = core::NorParams::paper_table1();
+  const auto params = core::GateParams::nor2_reference();
 
-  // Old API: hand-wired NOR2 chain with HybridNorChannel instances.
+  // Low-level API: hand-wired NOR2 chain of HybridGateChannel instances.
   sim::Circuit old_circuit;
   {
     const auto a = old_circuit.add_input("a");
     const auto b = old_circuit.add_input("b");
-    const auto x = old_circuit.add_nor2_mis(
-        "x", a, b, std::make_unique<sim::HybridNorChannel>(params));
-    old_circuit.add_nor2_mis(
-        "y", x, b, std::make_unique<sim::HybridNorChannel>(params));
+    const auto x = old_circuit.add_mis_gate(
+        sim::GateKind::kNor2, "x", {a, b},
+        std::make_unique<sim::HybridGateChannel>(params));
+    old_circuit.add_mis_gate(sim::GateKind::kNor2, "y", {x, b},
+                             std::make_unique<sim::HybridGateChannel>(params));
   }
 
   // Builder API: the same topology from a netlist against the reference

@@ -1,123 +1,91 @@
-#include "core/crossing.hpp"
-
+// Output threshold-crossing search of the gate core on the paper's NOR2:
+// core::mode_table_crossing on one mode segment and
+// core::gate_output_crossing across scripted input switches.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "core/gate_delay.hpp"
+#include "core/mode_tables.hpp"
+#include "core/trajectory.hpp"
 #include "util/error.hpp"
 
 namespace charlie::core {
 namespace {
 
 constexpr double kLn2 = 0.6931471805599453;
+constexpr int kPortA = 0;
+constexpr int kPortB = 1;
 
-TEST(Crossing, SingleExponentialDecayExactTime) {
+class Crossing : public ::testing::Test {
+ protected:
+  const NorParams p_ = NorParams::paper_table1();
+  const NorModeTables tables_{p_};
+  // (V_N, V_O) in the (0,0) steady state: both nodes at VDD.
+  const ode::Vec2 x00_ = mode_steady_state(Mode::kS00, p_);
+};
+
+TEST_F(Crossing, SingleExponentialDecayExactTime) {
   // (0,0) -> (0,1): V_O = VDD e^{-t/(R4 CO)}; crossing of VDD/2 at
   // ln2 R4 CO (paper eq (9) without delta_min).
-  const auto p = NorParams::paper_table1();
-  auto traj = NorTrajectory::from_steady_state(p, 0.0, Mode::kS00);
-  traj.set_inputs(0.0, false, true);
-  CrossingQuery q;
-  q.threshold = p.vth();
-  q.t_start = 0.0;
-  q.t_end = 1e-9;
-  q.direction = CrossDirection::kFalling;
-  const auto t = first_vo_crossing(traj, q);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_NEAR(*t, kLn2 * p.r4 * p.co, 1e-16);
+  const double t = mode_table_crossing(tables_.table(Mode::kS01), x00_, 1e-9,
+                                       p_.vth(), /*rising=*/false);
+  EXPECT_NEAR(t, kLn2 * p_.r4 * p_.co, 1e-16);
+  const GateInputEvent ev{0.0, kPortB, true};
+  EXPECT_NEAR(gate_output_crossing(tables_, 0u, 0.0, {&ev, 1},
+                                   /*rising=*/false),
+              kLn2 * p_.r4 * p_.co, 1e-16);
 }
 
-TEST(Crossing, ParallelDischargeExactTime) {
+TEST_F(Crossing, ParallelDischargeExactTime) {
   // (0,0) -> (1,1): both nMOS conduct; crossing at ln2 CO (R3||R4)
   // (paper eq (8)).
-  const auto p = NorParams::paper_table1();
-  auto traj = NorTrajectory::from_steady_state(p, 0.0, Mode::kS00);
-  traj.set_inputs(0.0, true, true);
-  CrossingQuery q;
-  q.threshold = p.vth();
-  q.t_start = 0.0;
-  q.t_end = 1e-9;
-  const auto t = first_vo_crossing(traj, q);
-  ASSERT_TRUE(t.has_value());
-  const double rp = p.r3 * p.r4 / (p.r3 + p.r4);
-  EXPECT_NEAR(*t, kLn2 * p.co * rp, 1e-16);
+  const double t = mode_table_crossing(tables_.table(Mode::kS11), x00_, 1e-9,
+                                       p_.vth(), /*rising=*/false);
+  const double rp = p_.r3 * p_.r4 / (p_.r3 + p_.r4);
+  EXPECT_NEAR(t, kLn2 * p_.co * rp, 1e-16);
 }
 
-TEST(Crossing, DirectionFilterSkipsWrongWay) {
-  const auto p = NorParams::paper_table1();
-  auto traj = NorTrajectory::from_steady_state(p, 0.0, Mode::kS00);
-  traj.set_inputs(0.0, false, true);  // V_O falls
-  CrossingQuery q;
-  q.threshold = p.vth();
-  q.t_start = 0.0;
-  q.t_end = 1e-9;
-  q.direction = CrossDirection::kRising;  // wrong direction
-  EXPECT_FALSE(first_vo_crossing(traj, q).has_value());
+TEST_F(Crossing, DirectionFilterSkipsWrongWay) {
+  // V_O falls in (0,1); a rising search finds nothing.
+  EXPECT_LT(mode_table_crossing(tables_.table(Mode::kS01), x00_, 1e-9,
+                                p_.vth(), /*rising=*/true),
+            0.0);
 }
 
-TEST(Crossing, NoCrossingWhenAsymptoteOnSameSide) {
-  // Steady (0,0) stays at VDD: never crosses VDD/2.
-  const auto p = NorParams::paper_table1();
-  const auto traj = NorTrajectory::from_steady_state(p, 0.0, Mode::kS00);
-  CrossingQuery q;
-  q.threshold = p.vth();
-  q.t_start = 0.0;
-  q.t_end = 1e-9;
-  EXPECT_FALSE(first_vo_crossing(traj, q).has_value());
+TEST_F(Crossing, NoCrossingWhenAsymptoteOnSameSide) {
+  // Steady (0,0) stays at VDD: never crosses VDD/2 either way.
+  const ModeTable& mt = tables_.table(Mode::kS00);
+  EXPECT_LT(mode_table_crossing(mt, x00_, 1e-9, p_.vth(), false), 0.0);
+  EXPECT_LT(mode_table_crossing(mt, x00_, 1e-9, p_.vth(), true), 0.0);
+  // With no input switch the gate evaluation reports the missing crossing.
+  EXPECT_THROW(gate_output_crossing(tables_, 0u, 0.0, {}, /*rising=*/false),
+               ConvergenceError);
 }
 
-TEST(Crossing, FindsCrossingAcrossSegmentBoundary) {
+TEST_F(Crossing, FindsCrossingAcrossSegmentBoundary) {
   // Switch to (1,1) shortly before the would-be (0,1) crossing: the actual
   // crossing happens in the second segment, earlier than the (0,1) one.
-  const auto p = NorParams::paper_table1();
-  const double t01 = kLn2 * p.r4 * p.co;  // ~20.9 ps
-  auto traj = NorTrajectory::from_steady_state(p, 0.0, Mode::kS00);
+  const double t01 = kLn2 * p_.r4 * p_.co;  // ~20.9 ps
+  const GateInputEvent events[] = {{0.0, kPortB, true},
+                                   {0.7 * t01, kPortA, true}};
+  const double t =
+      gate_output_crossing(tables_, 0u, 0.0, events, /*rising=*/false);
+  EXPECT_GT(t, 0.7 * t01);
+  EXPECT_LT(t, t01);
+}
+
+TEST_F(Crossing, WindowBoundsRespected) {
+  const ModeTable& mt = tables_.table(Mode::kS01);
+  const double t_true = kLn2 * p_.r4 * p_.co;
+  // Window ends before the crossing.
+  EXPECT_LT(mode_table_crossing(mt, x00_, 0.5 * t_true, p_.vth(), false), 0.0);
+  // Entered after the crossing: also nothing (V_O below threshold already).
+  auto traj = NorTrajectory::from_steady_state(p_, 0.0, Mode::kS00);
   traj.set_inputs(0.0, false, true);
-  traj.set_inputs(0.7 * t01, true, true);
-  CrossingQuery q;
-  q.threshold = p.vth();
-  q.t_start = 0.0;
-  q.t_end = 1e-9;
-  q.direction = CrossDirection::kFalling;
-  const auto t = first_vo_crossing(traj, q);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_GT(*t, 0.7 * t01);
-  EXPECT_LT(*t, t01);
-}
-
-TEST(Crossing, WindowBoundsRespected) {
-  const auto p = NorParams::paper_table1();
-  auto traj = NorTrajectory::from_steady_state(p, 0.0, Mode::kS00);
-  traj.set_inputs(0.0, false, true);
-  const double t_true = kLn2 * p.r4 * p.co;
-  CrossingQuery q;
-  q.threshold = p.vth();
-  q.t_start = 0.0;
-  q.t_end = 0.5 * t_true;  // window ends before the crossing
-  EXPECT_FALSE(first_vo_crossing(traj, q).has_value());
-  // Start after the crossing: also nothing (V_O below threshold already).
-  q.t_start = 2.0 * t_true;
-  q.t_end = 1e-9;
-  q.direction = CrossDirection::kFalling;
-  EXPECT_FALSE(first_vo_crossing(traj, q).has_value());
-}
-
-TEST(Crossing, EmptyWindowThrows) {
-  const auto p = NorParams::paper_table1();
-  const auto traj = NorTrajectory::from_steady_state(p, 0.0, Mode::kS00);
-  CrossingQuery q;
-  q.t_start = 1.0;
-  q.t_end = 1.0;
-  EXPECT_THROW(first_vo_crossing(traj, q), AssertionError);
-}
-
-TEST(Crossing, ScanStepReasonable) {
-  const auto p = NorParams::paper_table1();
-  const auto traj = NorTrajectory::from_steady_state(p, 0.0, Mode::kS00);
-  const double step = crossing_scan_step(traj, 1e-9);
-  EXPECT_GT(step, 0.0);
-  EXPECT_LE(step, 0.25e-9);
-  EXPECT_GE(step, 1e-9 / 8192.0);
+  EXPECT_LT(mode_table_crossing(mt, traj.state_at(2.0 * t_true), 1e-9,
+                                p_.vth(), false),
+            0.0);
 }
 
 }  // namespace

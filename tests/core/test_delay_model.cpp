@@ -5,6 +5,8 @@
 
 #include <cmath>
 
+#include "util/error.hpp"
+
 namespace charlie::core {
 namespace {
 
@@ -132,6 +134,20 @@ TEST_F(DelayModelFixture, IntermediateModeBookkeeping) {
   EXPECT_EQ(model_.rising_delay(10e-12).intermediate, Mode::kS01);
   EXPECT_EQ(model_.rising_delay(-10e-12).intermediate, Mode::kS10);
   EXPECT_EQ(model_.rising_delay(0.0).intermediate, Mode::kS00);
+}
+
+TEST(DelayModel, RisingGlitchBeforeLaterInputIsRejected) {
+  // With C_N >> C_O and a fast R2, a precharged N dumps enough charge into O
+  // during (1,0) to lift V_O past V_th before the later input falls. The
+  // rising delay is measured from the later input, so such a parameter set
+  // has no delay to report.
+  NorParams p = NorParams::paper_table1();
+  p.cn = 10.0 * p.co;
+  p.r2 = 1e3;
+  const NorDelayModel model(p);
+  EXPECT_THROW(model.rising_delay(-50e-12, p.vdd), ConvergenceError);
+  // From the drained history there is no charge to share.
+  EXPECT_NO_THROW(model.rising_delay(-50e-12, 0.0));
 }
 
 TEST_F(DelayModelFixture, SlowestTimeConstantPositive) {

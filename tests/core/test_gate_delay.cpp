@@ -15,18 +15,25 @@ namespace {
 // The generalized crossing solver must agree with the NOR2 closed-form
 // delay model on its own scenarios (delta_min excluded on both sides).
 TEST(GateDelay, Nor2SisDelaysMatchDelayModel) {
+  // NorDelayModel is a view over the gate core, so the six characteristic
+  // delays agree bit for bit.
   NorParams nor = NorParams::paper_table1();
   nor.delta_min = 0.0;
   const NorDelayModel model(nor);
   const GateModeTables tables(GateParams::from_nor(nor));
   const auto delays = gate_characteristic_delays(tables);
   ASSERT_EQ(delays.fall.size(), 2u);
-  // fall[1]: B rises alone -- the model's SIS "B first" asymptote.
-  EXPECT_NEAR(delays.fall[1], model.falling_sis_b_first(), 1e-14);
+  ASSERT_EQ(delays.rise.size(), 2u);
+  // fall[i]: input i rises alone -- the SIS "i first" falling asymptotes.
+  EXPECT_EQ(delays.fall[0], model.falling_sis_a_first());
+  EXPECT_EQ(delays.fall[1], model.falling_sis_b_first());
+  // rise[i]: input i falls last, the other one long gone.
+  EXPECT_EQ(delays.rise[0], model.rising_sis_b_first());
+  EXPECT_EQ(delays.rise[1], model.rising_sis_a_first());
   // Simultaneous rising inputs: delta = 0 falling delay.
-  EXPECT_NEAR(delays.fall_all, model.falling_delay(0.0).delay, 1e-14);
+  EXPECT_EQ(delays.fall_all, model.falling_delay(0.0).delay);
   // Simultaneous falling inputs from the drained (1,1) history.
-  EXPECT_NEAR(delays.rise_all, model.rising_delay(0.0, 0.0).delay, 1e-14);
+  EXPECT_EQ(delays.rise_all, model.rising_delay(0.0, 0.0).delay);
 }
 
 TEST(GateDelay, Nor2MisTrajectoryMatchesDelayModel) {
@@ -36,10 +43,16 @@ TEST(GateDelay, Nor2MisTrajectoryMatchesDelayModel) {
   const GateModeTables tables(GateParams::from_nor(nor));
   for (double delta : {10e-12, 40e-12}) {
     // A rises at 0, B at delta: the paper's falling MIS scenario.
-    const GateInputEvent events[] = {{0.0, 0, true}, {delta, 1, true}};
-    const double t = gate_output_crossing(tables, 0u, 0.0, events,
-                                          /*rising=*/false);
-    EXPECT_NEAR(t, model.falling_delay(delta).delay, 1e-13)
+    const GateInputEvent rise[] = {{0.0, 0, true}, {delta, 1, true}};
+    EXPECT_EQ(gate_output_crossing(tables, 0u, 0.0, rise, /*rising=*/false),
+              model.falling_delay(delta).delay)
+        << "delta=" << delta;
+    // A falls at 0, B at delta, from (1,1): the rising MIS scenario,
+    // measured from the later input.
+    const GateInputEvent fall[] = {{0.0, 0, false}, {delta, 1, false}};
+    EXPECT_EQ(gate_output_crossing(tables, 3u, 0.0, fall, /*rising=*/true) -
+                  delta,
+              model.rising_delay(delta).delay)
         << "delta=" << delta;
   }
 }

@@ -48,40 +48,6 @@ TEST(BrentRoot, SteepFunction) {
   EXPECT_NEAR(r, 0.3, 1e-9);
 }
 
-TEST(ExpandBracketRight, FindsSignChange) {
-  const auto bracket = expand_bracket_right(
-      [](double x) { return x - 10.0; }, 0.0, 1.0, 100.0);
-  ASSERT_TRUE(bracket.has_value());
-  EXPECT_LE(bracket->first, 10.0);
-  EXPECT_GE(bracket->second, 10.0);
-}
-
-TEST(ExpandBracketRight, GivesUpAtLimit) {
-  const auto bracket = expand_bracket_right(
-      [](double) { return 1.0; }, 0.0, 1.0, 50.0);
-  EXPECT_FALSE(bracket.has_value());
-}
-
-TEST(FirstRootAfter, FindsFirstOfSeveral) {
-  // sin has roots at pi, 2pi, ...; scanning from 0.5 must find pi.
-  const auto r = first_root_after([](double x) { return std::sin(x); }, 0.5,
-                                  0.25, 20.0);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_NEAR(*r, M_PI, 1e-9);
-}
-
-TEST(FirstRootAfter, NoRootReturnsNullopt) {
-  const auto r = first_root_after([](double) { return 2.0; }, 0.0, 0.1, 5.0);
-  EXPECT_FALSE(r.has_value());
-}
-
-TEST(FirstRootAfter, RootAtScanStart) {
-  const auto r =
-      first_root_after([](double x) { return x; }, 0.0, 0.1, 5.0);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_DOUBLE_EQ(*r, 0.0);
-}
-
 // Property sweep: Brent recovers known roots of x^3 - c across magnitudes.
 class CubeRoot : public ::testing::TestWithParam<double> {};
 

@@ -5,8 +5,8 @@
 #include "core/delay_model.hpp"
 #include "core/parametrize.hpp"
 #include "sim/accuracy.hpp"
-#include "sim/hybrid_nor_channel.hpp"
-#include "sim/nor_models.hpp"
+#include "sim/gate_models.hpp"
+#include "sim/hybrid_gate_channel.hpp"
 #include "sim/run_channel.hpp"
 #include "spice/characterize.hpp"
 #include "waveform/digitize.hpp"
@@ -95,7 +95,7 @@ TEST_F(EndToEnd, HybridChannelTracksAnalogOnRandomTrace) {
   const auto a_dig = waveform::digitize(analog.va, cal.tech.vth());
   const auto b_dig = waveform::digitize(analog.vb, cal.tech.vth());
 
-  sim::HybridNorChannel channel(cal.fit.params);
+  sim::HybridGateChannel channel(core::GateParams::from_nor(cal.fit.params));
   const auto out = sim::run_gate_channel(channel, a_dig, b_dig, 0.0, t_end);
 
   const auto stats = waveform::pair_edges(golden, out, 30e-12);
@@ -108,22 +108,27 @@ TEST_F(EndToEnd, AccuracyRankingShortPulses) {
   // The paper's headline (Fig 7, short pulses): hybrid model with
   // delta_min beats the inertial baseline; the stripped variant does not.
   const auto& cal = calib();
-  sim::SisNorDelays sis;
+  sim::SisGateDelays sis;
   sis.rise = 0.5 * (cal.substrate.rise_minus_inf + cal.substrate.rise_plus_inf);
   sis.fall = 0.5 * (cal.substrate.fall_minus_inf + cal.substrate.fall_plus_inf);
   core::NorParams stripped = cal.fit.params;
   stripped.delta_min = 0.0;
 
   std::vector<sim::ModelUnderTest> models;
-  models.push_back(
-      {"inertial", [&] { return sim::make_inertial_nor(sis); }, true});
+  models.push_back({"inertial",
+                    [&] {
+                      return sim::make_inertial_gate(
+                          core::GateTopology::kNorLike, 2, sis);
+                    },
+                    true});
   models.push_back({"hm", [&] {
-                      return std::make_unique<sim::HybridNorChannel>(
-                          cal.fit.params);
+                      return std::make_unique<sim::HybridGateChannel>(
+                          core::GateParams::from_nor(cal.fit.params));
                     },
                     false});
   models.push_back({"hm_stripped", [&] {
-                      return std::make_unique<sim::HybridNorChannel>(stripped);
+                      return std::make_unique<sim::HybridGateChannel>(
+                          core::GateParams::from_nor(stripped));
                     },
                     false});
 
@@ -144,10 +149,14 @@ TEST_F(EndToEnd, AccuracyRankingShortPulses) {
 
 TEST_F(EndToEnd, DeterministicAcrossRuns) {
   const auto& cal = calib();
-  sim::SisNorDelays sis{50e-12, 45e-12};
+  sim::SisGateDelays sis{50e-12, 45e-12};
   std::vector<sim::ModelUnderTest> models;
-  models.push_back(
-      {"inertial", [&] { return sim::make_inertial_nor(sis); }, true});
+  models.push_back({"inertial",
+                    [&] {
+                      return sim::make_inertial_gate(
+                          core::GateTopology::kNorLike, 2, sis);
+                    },
+                    true});
   waveform::TraceConfig cfg;
   cfg.mu = 200e-12;
   cfg.sigma = 50e-12;

@@ -10,7 +10,7 @@
 #include "cell/netlist.hpp"
 #include "core/mode_tables.hpp"
 #include "sim/circuit_builder.hpp"
-#include "sim/hybrid_nor_channel.hpp"
+#include "sim/hybrid_gate_channel.hpp"
 #include "sim/pure_delay.hpp"
 #include "sim/run_guard.hpp"
 #include "util/error.hpp"
@@ -37,8 +37,8 @@ CircuitFactory nor_factory() {
     auto circuit = std::make_unique<Circuit>();
     const auto a = circuit->add_input("a");
     const auto b = circuit->add_input("b");
-    circuit->add_nor2_mis("out", a, b,
-                          std::make_unique<HybridNorChannel>(tables));
+    circuit->add_mis_gate(GateKind::kNor2, "out", {a, b},
+                          std::make_unique<HybridGateChannel>(tables));
     return circuit;
   };
 }
@@ -132,8 +132,9 @@ CircuitFactory two_stage_factory() {
     auto circuit = std::make_unique<Circuit>();
     const auto a = circuit->add_input("a");
     const auto b = circuit->add_input("b");
-    const auto mid = circuit->add_nor2_mis(
-        "mid", a, b, std::make_unique<HybridNorChannel>(tables));
+    const auto mid = circuit->add_mis_gate(
+        GateKind::kNor2, "mid", {a, b},
+        std::make_unique<HybridGateChannel>(tables));
     circuit->add_gate(GateKind::kInv, "out", {mid},
                       std::make_unique<PureDelayChannel>(5e-12));
     return circuit;

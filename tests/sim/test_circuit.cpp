@@ -4,7 +4,7 @@
 
 #include <memory>
 
-#include "sim/hybrid_nor_channel.hpp"
+#include "sim/hybrid_gate_channel.hpp"
 #include "sim/inertial.hpp"
 #include "sim/pure_delay.hpp"
 #include "util/error.hpp"
@@ -110,12 +110,13 @@ TEST(Circuit, ReconvergentFanoutGlitch) {
 }
 
 TEST(Circuit, MisAwareNorInsideCircuit) {
-  const auto params = core::NorParams::paper_table1();
+  const auto params = core::GateParams::nor2_reference();
   Circuit c;
   const auto a = c.add_input("a");
   const auto b = c.add_input("b");
   const auto out =
-      c.add_nor2_mis("out", a, b, std::make_unique<HybridNorChannel>(params));
+      c.add_mis_gate(GateKind::kNor2, "out", {a, b},
+                     std::make_unique<HybridGateChannel>(params));
   // Simultaneous rising inputs: Charlie speed-up vs. lone input.
   const waveform::DigitalTrace both(false, {1e-9});
   const auto r_both = c.simulate({both, both}, 0.0, 2e-9);
@@ -124,8 +125,9 @@ TEST(Circuit, MisAwareNorInsideCircuit) {
   Circuit c2;
   const auto a2 = c2.add_input("a");
   const auto b2 = c2.add_input("b");
-  const auto out2 = c2.add_nor2_mis("out", a2, b2,
-                                    std::make_unique<HybridNorChannel>(params));
+  const auto out2 =
+      c2.add_mis_gate(GateKind::kNor2, "out", {a2, b2},
+                      std::make_unique<HybridGateChannel>(params));
   const waveform::DigitalTrace lone(false, {1e-9});
   const waveform::DigitalTrace quiet(false, {});
   const auto r_lone = c2.simulate({lone, quiet}, 0.0, 2e-9);
@@ -135,15 +137,17 @@ TEST(Circuit, MisAwareNorInsideCircuit) {
 
 TEST(Circuit, TwoStageNorChain) {
   // NOR(a,b) -> NOR(x, c): event propagation across MIS-aware stages.
-  const auto params = core::NorParams::paper_table1();
+  const auto params = core::GateParams::nor2_reference();
   Circuit c;
   const auto a = c.add_input("a");
   const auto b = c.add_input("b");
   const auto cc = c.add_input("c");
   const auto x =
-      c.add_nor2_mis("x", a, b, std::make_unique<HybridNorChannel>(params));
+      c.add_mis_gate(GateKind::kNor2, "x", {a, b},
+                     std::make_unique<HybridGateChannel>(params));
   const auto y =
-      c.add_nor2_mis("y", x, cc, std::make_unique<HybridNorChannel>(params));
+      c.add_mis_gate(GateKind::kNor2, "y", {x, cc},
+                     std::make_unique<HybridGateChannel>(params));
   // a=b=0 initially -> x=1 -> y=0 (c=0). A rises: x falls, y rises.
   const waveform::DigitalTrace sa(false, {1e-9});
   const waveform::DigitalTrace quiet(false, {});

@@ -1,8 +1,9 @@
-#include "sim/hybrid_nor_channel.hpp"
+#include "sim/hybrid_gate_channel.hpp"
 
 #include <gtest/gtest.h>
 
 #include "core/delay_model.hpp"
+#include "core/mode_tables.hpp"
 #include "util/error.hpp"
 
 namespace charlie::sim {
@@ -11,21 +12,22 @@ namespace {
 class HybridChannelFixture : public ::testing::Test {
  protected:
   const core::NorParams params_ = core::NorParams::paper_table1();
+  const core::GateParams gate_ = core::GateParams::from_nor(params_);
   const core::NorDelayModel model_{params_};
 };
 
 TEST_F(HybridChannelFixture, InitialStateFollowsInputs) {
-  HybridNorChannel ch(params_);
+  HybridGateChannel ch(gate_);
   ch.initialize(0.0, {false, false});
   EXPECT_TRUE(ch.initial_output());
-  EXPECT_EQ(ch.mode(), core::Mode::kS00);
+  EXPECT_EQ(ch.input_state(), core::gate_state_from_mode(core::Mode::kS00));
   ch.initialize(0.0, {true, false});
   EXPECT_FALSE(ch.initial_output());
-  EXPECT_EQ(ch.mode(), core::Mode::kS10);
+  EXPECT_EQ(ch.input_state(), core::gate_state_from_mode(core::Mode::kS10));
 }
 
 TEST_F(HybridChannelFixture, SisFallingDelayMatchesDelayModel) {
-  HybridNorChannel ch(params_);
+  HybridGateChannel ch(gate_);
   ch.initialize(0.0, {false, false});
   ch.on_input(1e-9, 1, true);  // B rises alone
   const auto p = ch.pending();
@@ -36,7 +38,7 @@ TEST_F(HybridChannelFixture, SisFallingDelayMatchesDelayModel) {
 
 TEST_F(HybridChannelFixture, MisFallingDelayMatchesDelayModel) {
   for (double delta : {-40e-12, -10e-12, 0.0, 10e-12, 40e-12}) {
-    HybridNorChannel ch(params_);
+    HybridGateChannel ch(gate_);
     ch.initialize(0.0, {false, false});
     const double t0 = 1e-9;
     if (delta >= 0.0) {
@@ -57,7 +59,7 @@ TEST_F(HybridChannelFixture, MisFallingDelayMatchesDelayModel) {
 TEST_F(HybridChannelFixture, MisRisingDelayMatchesDelayModel) {
   // Start in (1,1) with drained history; both inputs fall with separation.
   for (double delta : {-40e-12, 0.0, 40e-12}) {
-    HybridNorChannel ch(params_);
+    HybridGateChannel ch(gate_);
     ch.initialize(0.0, {true, true});  // V_N = GND worst case
     const double t0 = 1e-9;
     double t_last = t0;
@@ -82,7 +84,7 @@ TEST_F(HybridChannelFixture, MisRisingDelayMatchesDelayModel) {
 TEST_F(HybridChannelFixture, GlitchCancellation) {
   // A rises then falls quickly: if the input returns before V_O reaches
   // the threshold, no output event survives.
-  HybridNorChannel ch(params_);
+  HybridGateChannel ch(gate_);
   ch.initialize(0.0, {false, false});
   ch.on_input(1e-9, 0, true);
   ASSERT_TRUE(ch.pending().has_value());
@@ -93,7 +95,7 @@ TEST_F(HybridChannelFixture, GlitchCancellation) {
 }
 
 TEST_F(HybridChannelFixture, CommittedCrossingSurvivesLateReversal) {
-  HybridNorChannel ch(params_);
+  HybridGateChannel ch(gate_);
   ch.initialize(0.0, {false, false});
   ch.on_input(1e-9, 0, true);
   const auto p = ch.pending();
@@ -116,11 +118,11 @@ TEST_F(HybridChannelFixture, SharedTablesMatchPrivateTables) {
   // Channels sharing one precomputed table behave identically to channels
   // that derive their own.
   const auto tables = core::NorModeTables::make(params_);
-  HybridNorChannel shared1(tables);
-  HybridNorChannel shared2(tables);
-  HybridNorChannel owned(params_);
-  EXPECT_EQ(shared1.tables().get(), shared2.tables().get());
-  for (HybridNorChannel* ch : {&shared1, &owned}) {
+  HybridGateChannel shared1(tables);
+  HybridGateChannel shared2(tables);
+  HybridGateChannel owned(gate_);
+  EXPECT_EQ(shared1.gate_tables().get(), shared2.gate_tables().get());
+  for (HybridGateChannel* ch : {&shared1, &owned}) {
     ch->initialize(0.0, {false, false});
     ch->on_input(1e-9, 0, true);
   }
@@ -135,7 +137,7 @@ TEST_F(HybridChannelFixture, MultipleCommittedCrossingsSurviveLateInput) {
   // physically happened too: both crossings are past and the second input
   // promotes the live rising crossing to the committed queue. Every
   // committed event must then fire in order with matching payloads.
-  HybridNorChannel ch(params_);
+  HybridGateChannel ch(gate_);
   ch.initialize(0.0, {false, false});
   ch.on_input(1e-9, 0, true);
   const auto fall = ch.pending();
@@ -163,7 +165,7 @@ TEST_F(HybridChannelFixture, MultipleCommittedCrossingsSurviveLateInput) {
 
 TEST_F(HybridChannelFixture, OnFireMismatchFailsLoudly) {
   // Engine/channel desync must be detected, not silently absorbed.
-  HybridNorChannel ch(params_);
+  HybridGateChannel ch(gate_);
   ch.initialize(0.0, {false, false});
   ch.on_input(1e-9, 0, true);
   const auto p = ch.pending();
@@ -187,7 +189,7 @@ TEST_F(HybridChannelFixture, OnFireMismatchFailsLoudly) {
 }
 
 TEST_F(HybridChannelFixture, StateQueryEvolvesContinuously) {
-  HybridNorChannel ch(params_);
+  HybridGateChannel ch(gate_);
   ch.initialize(0.0, {false, false});
   EXPECT_NEAR(ch.state_at(0.5e-9).y, params_.vdd, 1e-9);
   ch.on_input(1e-9, 0, true);
@@ -198,7 +200,7 @@ TEST_F(HybridChannelFixture, StateQueryEvolvesContinuously) {
 }
 
 TEST_F(HybridChannelFixture, OutOfOrderInputThrows) {
-  HybridNorChannel ch(params_);
+  HybridGateChannel ch(gate_);
   ch.initialize(0.0, {false, false});
   ch.on_input(2e-9, 0, true);
   EXPECT_THROW(ch.on_input(1e-9, 1, true), AssertionError);
@@ -207,10 +209,10 @@ TEST_F(HybridChannelFixture, OutOfOrderInputThrows) {
 TEST_F(HybridChannelFixture, MisSpeedupVisibleThroughChannel) {
   // Simultaneous rising inputs produce an earlier output event than a
   // lone rising input -- the Charlie effect surfacing in simulation.
-  HybridNorChannel lone(params_);
+  HybridGateChannel lone(gate_);
   lone.initialize(0.0, {false, false});
   lone.on_input(1e-9, 1, true);
-  HybridNorChannel both(params_);
+  HybridGateChannel both(gate_);
   both.initialize(0.0, {false, false});
   both.on_input(1e-9, 0, true);
   both.on_input(1e-9, 1, true);

@@ -7,7 +7,9 @@
 namespace charlie::sim {
 namespace {
 
-const SisNorDelays kDelays{50e-12, 40e-12};
+constexpr auto kNor = core::GateTopology::kNorLike;
+
+const SisGateDelays kDelays{50e-12, 40e-12};
 
 TEST(NorModels, AllFactoriesProduceWorkingGates) {
   const waveform::DigitalTrace a(false, {1e-9, 2e-9});
@@ -18,8 +20,8 @@ TEST(NorModels, AllFactoriesProduceWorkingGates) {
     EXPECT_EQ(out.n_transitions(), 2u) << name;
     EXPECT_FALSE(out.is_rising(0)) << name;
   };
-  check(make_inertial_nor(kDelays), "inertial");
-  check(make_pure_nor(kDelays), "pure");
+  check(make_inertial_gate(kNor, 2, kDelays), "inertial");
+  check(make_pure_gate(kNor, 2, kDelays), "pure");
   check(make_exp_nor(kDelays, 20e-12), "exp");
   check(make_sumexp_nor(kDelays, 20e-12), "sumexp");
 }
@@ -62,11 +64,11 @@ TEST(NorModels, SisModelsBlindToMis) {
   // Simultaneous switching gives the same delay as single switching for a
   // SIS model (no Charlie effect) -- establishes the contrast the hybrid
   // channel is designed to fix.
-  auto lone = make_inertial_nor(kDelays);
+  auto lone = make_inertial_gate(kNor, 2, kDelays);
   const waveform::DigitalTrace a(false, {1e-9});
   const waveform::DigitalTrace none(false, {});
   const auto out_lone = run_gate_channel(*lone, a, none, 0.0, 2e-9);
-  auto both = make_inertial_nor(kDelays);
+  auto both = make_inertial_gate(kNor, 2, kDelays);
   const auto out_both = run_gate_channel(*both, a, a, 0.0, 2e-9);
   ASSERT_EQ(out_lone.n_transitions(), 1u);
   ASSERT_EQ(out_both.n_transitions(), 1u);
@@ -77,10 +79,10 @@ TEST(NorModels, PureDelayPassesGlitchInertialSwallowsIt) {
   const double width = 10e-12;  // far below the ~40-50 ps delays
   const waveform::DigitalTrace a(false, {1e-9, 1e-9 + width});
   const waveform::DigitalTrace b(false, {});
-  auto pure = make_pure_nor(kDelays);
+  auto pure = make_pure_gate(kNor, 2, kDelays);
   const auto out_pure = run_gate_channel(*pure, a, b, 0.0, 2e-9);
   EXPECT_EQ(out_pure.n_transitions(), 2u);  // glitch propagates
-  auto inertial = make_inertial_nor(kDelays);
+  auto inertial = make_inertial_gate(kNor, 2, kDelays);
   const auto out_inertial = run_gate_channel(*inertial, a, b, 0.0, 2e-9);
   EXPECT_EQ(out_inertial.n_transitions(), 0u);  // glitch filtered
 }

@@ -18,7 +18,7 @@
 #include "obs/trace_recorder.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/circuit_builder.hpp"
-#include "sim/hybrid_nor_channel.hpp"
+#include "sim/hybrid_gate_channel.hpp"
 #include "sim/sharded_circuit.hpp"
 #include "util/rng.hpp"
 #include "waveform/generator.hpp"
@@ -50,8 +50,8 @@ CircuitFactory nor_factory() {
     auto circuit = std::make_unique<Circuit>();
     const auto a = circuit->add_input("a");
     const auto b = circuit->add_input("b");
-    circuit->add_nor2_mis("out", a, b,
-                          std::make_unique<HybridNorChannel>(tables));
+    circuit->add_mis_gate(GateKind::kNor2, "out", {a, b},
+                          std::make_unique<HybridGateChannel>(tables));
     return circuit;
   };
 }

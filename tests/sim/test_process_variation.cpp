@@ -14,7 +14,7 @@
 #include "core/process_point.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/circuit_builder.hpp"
-#include "sim/hybrid_nor_channel.hpp"
+#include "sim/hybrid_gate_channel.hpp"
 #include "sim/process_variation.hpp"
 #include "util/error.hpp"
 

@@ -3,15 +3,17 @@
 #include <gtest/gtest.h>
 
 #include "core/delay_model.hpp"
-#include "sim/hybrid_nor_channel.hpp"
-#include "sim/nor_models.hpp"
+#include "sim/gate_models.hpp"
+#include "sim/hybrid_gate_channel.hpp"
 
 namespace charlie::sim {
 namespace {
 
+constexpr auto kNor = core::GateTopology::kNorLike;
+
 TEST(RunChannel, SinglePulseThroughInertialNor) {
-  SisNorDelays d{50e-12, 40e-12};
-  auto gate = make_inertial_nor(d);
+  SisGateDelays d{50e-12, 40e-12};
+  auto gate = make_inertial_gate(kNor, 2, d);
   // B stays low; A pulses 1..2 ns: output falls then rises.
   const waveform::DigitalTrace a(false, {1e-9, 2e-9});
   const waveform::DigitalTrace b(false, {});
@@ -23,8 +25,8 @@ TEST(RunChannel, SinglePulseThroughInertialNor) {
 }
 
 TEST(RunChannel, OtherInputMasksTransitions) {
-  SisNorDelays d{50e-12, 40e-12};
-  auto gate = make_inertial_nor(d);
+  SisGateDelays d{50e-12, 40e-12};
+  auto gate = make_inertial_gate(kNor, 2, d);
   // B high the whole time: output pinned low; A's activity is invisible.
   const waveform::DigitalTrace a(false, {1e-9, 2e-9});
   const waveform::DigitalTrace b(true, {});
@@ -35,7 +37,7 @@ TEST(RunChannel, OtherInputMasksTransitions) {
 
 TEST(RunChannel, OutputAlternates) {
   const auto params = core::NorParams::paper_table1();
-  HybridNorChannel ch(params);
+  HybridGateChannel ch(core::GateParams::from_nor(params));
   // Dense random-ish activity on both inputs.
   const waveform::DigitalTrace a(false,
                                  {1e-9, 1.2e-9, 1.5e-9, 2.0e-9, 2.05e-9});
@@ -48,8 +50,8 @@ TEST(RunChannel, OutputAlternates) {
 }
 
 TEST(RunChannel, EventsAfterWindowDiscarded) {
-  SisNorDelays d{50e-12, 40e-12};
-  auto gate = make_inertial_nor(d);
+  SisGateDelays d{50e-12, 40e-12};
+  auto gate = make_inertial_gate(kNor, 2, d);
   const waveform::DigitalTrace a(false, {1e-9});
   const waveform::DigitalTrace b(false, {});
   // Window ends before the output delay elapses.
@@ -60,7 +62,7 @@ TEST(RunChannel, EventsAfterWindowDiscarded) {
 TEST(RunChannel, HybridMatchesDelayModelEndToEnd) {
   const auto params = core::NorParams::paper_table1();
   const core::NorDelayModel model(params);
-  HybridNorChannel ch(params);
+  HybridGateChannel ch(core::GateParams::from_nor(params));
   const double delta = 15e-12;
   const waveform::DigitalTrace a(false, {1e-9});
   const waveform::DigitalTrace b(false, {1e-9 + delta});
@@ -71,8 +73,8 @@ TEST(RunChannel, HybridMatchesDelayModelEndToEnd) {
 }
 
 TEST(RunChannel, InitialValuesRespected) {
-  SisNorDelays d{50e-12, 40e-12};
-  auto gate = make_inertial_nor(d);
+  SisGateDelays d{50e-12, 40e-12};
+  auto gate = make_inertial_gate(kNor, 2, d);
   const waveform::DigitalTrace a(true, {1e-9});   // A falls at 1 ns
   const waveform::DigitalTrace b(false, {});
   const auto out = run_gate_channel(*gate, a, b, 0.0, 2e-9);

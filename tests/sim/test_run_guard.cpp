@@ -8,7 +8,7 @@
 
 #include "core/mode_tables.hpp"
 #include "sim/circuit.hpp"
-#include "sim/hybrid_nor_channel.hpp"
+#include "sim/hybrid_gate_channel.hpp"
 #include "sim/pure_delay.hpp"
 #include "sim/sim_session.hpp"
 #include "util/fault_injection.hpp"
@@ -151,7 +151,8 @@ TEST(RunGuard, InjectedSolverFaultBecomesStructuredFailure) {
   Circuit c;
   const auto a = c.add_input("a");
   const auto b = c.add_input("b");
-  c.add_nor2_mis("out", a, b, std::make_unique<HybridNorChannel>(tables));
+  c.add_mis_gate(GateKind::kNor2, "out", {a, b},
+                 std::make_unique<HybridGateChannel>(tables));
   const waveform::DigitalTrace stim_a(false, {1e-9});
   const waveform::DigitalTrace stim_b(false, {});
 
@@ -177,7 +178,8 @@ TEST(RunGuard, ForcedNewtonFallbackIsCountedInDiagnostics) {
   const auto a = c.add_input("a");
   const auto b = c.add_input("b");
   const auto out =
-      c.add_nor2_mis("out", a, b, std::make_unique<HybridNorChannel>(tables));
+      c.add_mis_gate(GateKind::kNor2, "out", {a, b},
+                     std::make_unique<HybridGateChannel>(tables));
   const waveform::DigitalTrace stim_a(false, {1e-9});
   const waveform::DigitalTrace stim_b(false, {});
 
@@ -201,7 +203,8 @@ TEST(RunGuard, InjectedNanStateBecomesStructuredFailure) {
   Circuit c;
   const auto a = c.add_input("a");
   const auto b = c.add_input("b");
-  c.add_nor2_mis("out", a, b, std::make_unique<HybridNorChannel>(tables));
+  c.add_mis_gate(GateKind::kNor2, "out", {a, b},
+                 std::make_unique<HybridGateChannel>(tables));
   const waveform::DigitalTrace stim_a(false, {1e-9});
   const waveform::DigitalTrace stim_b(false, {});
 

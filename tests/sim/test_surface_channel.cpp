@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/delay_model.hpp"
-#include "sim/hybrid_nor_channel.hpp"
+#include "sim/hybrid_gate_channel.hpp"
 #include "sim/run_channel.hpp"
 
 namespace charlie::sim {
@@ -72,7 +72,7 @@ TEST_F(SurfaceChannelFixture, AgreesWithStateChannelOnSparseTraces) {
   const waveform::DigitalTrace a(false, {1e-9, 2e-9, 4e-9});
   const waveform::DigitalTrace b(false, {1.02e-9, 2.5e-9, 4.03e-9});
   SurfaceNorChannel s(surface());
-  HybridNorChannel h(params);
+  HybridGateChannel h(core::GateParams::from_nor(params));
   const auto out_s = run_gate_channel(s, a, b, 0.0, 6e-9);
   const auto out_h = run_gate_channel(h, a, b, 0.0, 6e-9);
   ASSERT_EQ(out_s.n_transitions(), out_h.n_transitions());
