@@ -6,6 +6,9 @@
 // every worker cooperates on the same simulation, exchanging boundary
 // events, and the result is bit-identical to the monolithic engine.
 //
+// BM_BuildSharded times the elaboration that the throughput benchmark keeps
+// out of its loop.
+//
 // Multi-threaded timing: wall clock (UseRealTime) is the scaling headline,
 // process CPU time (MeasureProcessCPUTime) exposes the parallel overhead.
 #include <benchmark/benchmark.h>
@@ -94,6 +97,22 @@ BENCHMARK(BM_ShardedCircuitThroughput)
     ->MeasureProcessCPUTime()
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// Elaboration of the same netlist into K = 4 shards: validation, topo
+// sort, partitioning and per-shard emission, plus destroying the result
+// (both are paid once per netlist flow). The parsed desc is built once
+// outside the timed loop.
+void BM_BuildSharded(benchmark::State& state) {
+  const cell::NetlistDesc& desc = big_netlist();
+  for (auto _ : state) {
+    auto sharded = builder().build_sharded(desc, 4);
+    benchmark::DoNotOptimize(sharded.get());
+    sharded.reset();
+  }
+  state.counters["elements"] = benchmark::Counter(
+      static_cast<double>(desc.instances.size() + desc.wires.size()));
+}
+BENCHMARK(BM_BuildSharded)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

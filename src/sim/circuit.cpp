@@ -14,13 +14,19 @@ bool eval_gate(GateKind kind, std::span<const bool> in) {
                    arity >= 3 ? in[2] : false);
 }
 
+void Circuit::reserve(std::size_t n_nets, std::size_t n_gates) {
+  net_names_.reserve(n_nets);
+  net_ids_.reserve(n_nets);
+  fanout_.reserve(n_nets);
+  gates_.reserve(n_gates);
+}
+
 Circuit::NetId Circuit::new_net(const std::string& name) {
-  if (net_ids_.count(name) > 0) {
+  const NetId id = static_cast<NetId>(net_names_.size());
+  if (!net_ids_.try_emplace(name, id).second) {
     throw ConfigError("circuit: duplicate net name: " + name);
   }
-  const NetId id = static_cast<NetId>(net_names_.size());
   net_names_.push_back(name);
-  net_ids_[name] = id;
   fanout_.emplace_back();
   return id;
 }

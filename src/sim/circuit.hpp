@@ -102,6 +102,10 @@ class Circuit {
                      std::vector<NetId> inputs,
                      std::unique_ptr<GateChannel> channel);
 
+  /// Size the net and gate tables up front (a builder that knows the final
+  /// counts avoids rehashing the name map while it appends).
+  void reserve(std::size_t n_nets, std::size_t n_gates);
+
   NetId find_net(const std::string& name) const;
   const std::string& net_name(NetId id) const;
   std::size_t n_nets() const { return net_names_.size(); }

@@ -1,8 +1,6 @@
 #include "sim/circuit_builder.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -50,25 +48,21 @@ const cell::NetlistWire& wire_of(const cell::NetlistDesc& desc,
   return NetlistTopology::wire_of(desc, e);
 }
 
-const std::string& output_of(const cell::NetlistDesc& desc, std::size_t e) {
-  return NetlistTopology::output_of(desc, e);
-}
-
-template <typename Visit>
-void for_each_input(const cell::NetlistDesc& desc, std::size_t e,
-                    Visit&& visit) {
-  NetlistTopology::for_each_input(desc, e, std::forward<Visit>(visit));
-}
-
+// The one place that turns net names into net ids: every later stage
+// (emission, partitioning, the sta timing graph) works on the ids.
 NetlistTopology prepare_netlist(const cell::NetlistDesc& desc,
                                 const cell::CellLibrary& library) {
   // --- semantic validation -------------------------------------------------
+  const std::size_t n_inputs = desc.inputs.size();
   const std::size_t n_gates = desc.instances.size();
   const std::size_t n_elems = n_gates + desc.wires.size();
 
   NetlistTopology prep;
-  for (const auto& name : desc.inputs) {
-    if (!prep.driver.emplace(name, -1).second) {
+  prep.n_inputs = n_inputs;
+  prep.net_ids.reserve(n_inputs + n_elems);
+  for (std::size_t i = 0; i < n_inputs; ++i) {
+    const std::string& name = desc.inputs[i];
+    if (!prep.net_ids.try_emplace(name, static_cast<int>(i)).second) {
       throw ConfigError("circuit builder: primary input \"" + name +
                         "\" declared twice");
     }
@@ -86,7 +80,7 @@ NetlistTopology prepare_netlist(const cell::NetlistDesc& desc,
                             std::to_string(spec->arity) + " inputs, got " +
                             std::to_string(inst.inputs.size()));
     }
-    if (!prep.driver.emplace(inst.output, static_cast<int>(i)).second) {
+    if (!prep.net_ids.try_emplace(inst.output, prep.output_net(i)).second) {
       build_error(inst, "net \"" + inst.output + "\" is defined twice");
     }
   }
@@ -97,59 +91,79 @@ NetlistTopology prepare_netlist(const cell::NetlistDesc& desc,
     } catch (const ConfigError& e) {
       wire_error(wire, e.what());
     }
-    if (!prep.driver.emplace(wire.output, static_cast<int>(n_gates + w))
+    if (!prep.net_ids.try_emplace(wire.output, prep.output_net(n_gates + w))
              .second) {
       wire_error(wire, "net \"" + wire.output + "\" is defined twice");
     }
   }
+  // Fan-in resolution doubles as the undriven-net check.
+  const auto resolve = [&](const std::string& net) {
+    const auto it = prep.net_ids.find(net);
+    return it == prep.net_ids.end() ? -1 : it->second;
+  };
+  const std::string undriven =
+      "\" is driven by no gate, wire, or primary input";
+  prep.fanin_begin.reserve(n_elems + 1);
+  prep.fanin_begin.push_back(0);
+  prep.fanin.reserve(static_cast<std::size_t>(3) * n_gates + desc.wires.size());
   for (const auto& inst : desc.instances) {
     for (const auto& input : inst.inputs) {
-      if (prep.driver.find(input) == prep.driver.end()) {
-        build_error(inst, "input net \"" + input +
-                              "\" is driven by no gate, wire, or primary "
-                              "input");
-      }
+      const int id = resolve(input);
+      if (id < 0) build_error(inst, "input net \"" + input + undriven);
+      prep.fanin.push_back(id);
     }
+    prep.fanin_begin.push_back(static_cast<int>(prep.fanin.size()));
   }
   for (const auto& wire : desc.wires) {
-    if (prep.driver.find(wire.input) == prep.driver.end()) {
-      wire_error(wire, "input net \"" + wire.input +
-                           "\" is driven by no gate, wire, or primary "
-                           "input");
-    }
+    const int id = resolve(wire.input);
+    if (id < 0) wire_error(wire, "input net \"" + wire.input + undriven);
+    prep.fanin.push_back(id);
+    prep.fanin_begin.push_back(static_cast<int>(prep.fanin.size()));
   }
   for (const auto& name : desc.outputs) {
-    if (prep.driver.find(name) == prep.driver.end()) {
+    if (resolve(name) < 0) {
       throw ConfigError("circuit builder: declared primary output \"" + name +
-                        "\" is driven by no gate, wire, or primary input");
+                        undriven);
     }
   }
 
   // --- topological order (Kahn) -------------------------------------------
   // The engine appends gates after their input nets exist, so elements are
   // emitted in dependency order regardless of netlist order; leftover
-  // elements sit on a combinational cycle.
+  // elements sit on a combinational cycle. Dependents are one CSR array
+  // (counting sort by driver), each driver's users in element/pin order.
   std::vector<int> missing_inputs(n_elems, 0);
-  std::unordered_map<int, std::vector<int>> dependents;  // driver -> users
+  std::vector<int> users_begin(n_elems + 1, 0);
+  for (const int net : prep.fanin) {
+    const int d = prep.driver(net);
+    if (d >= 0) ++users_begin[static_cast<std::size_t>(d) + 1];
+  }
+  for (std::size_t d = 0; d < n_elems; ++d) {
+    users_begin[d + 1] += users_begin[d];
+  }
+  std::vector<int> users(static_cast<std::size_t>(users_begin[n_elems]));
+  std::vector<int> fill(users_begin.begin(), users_begin.end() - 1);
   std::vector<int> ready;
   for (std::size_t e = 0; e < n_elems; ++e) {
-    for_each_input(desc, e, [&](const std::string& input) {
-      const int d = prep.driver.at(input);
+    for (const int net : prep.inputs_of(e)) {
+      const int d = prep.driver(net);
       if (d >= 0) {
         ++missing_inputs[e];
-        dependents[d].push_back(static_cast<int>(e));
+        users[static_cast<std::size_t>(fill[static_cast<std::size_t>(d)]++)] =
+            static_cast<int>(e);
       }
-    });
+    }
     if (missing_inputs[e] == 0) ready.push_back(static_cast<int>(e));
   }
   prep.order.reserve(n_elems);
   for (std::size_t head = 0; head < ready.size(); ++head) {
-    const int e = ready[head];
-    prep.order.push_back(e);
-    const auto it = dependents.find(e);
-    if (it == dependents.end()) continue;
-    for (const int user : it->second) {
-      if (--missing_inputs[user] == 0) ready.push_back(user);
+    const auto e = static_cast<std::size_t>(ready[head]);
+    prep.order.push_back(static_cast<int>(e));
+    for (int u = users_begin[e]; u < users_begin[e + 1]; ++u) {
+      const int user = users[static_cast<std::size_t>(u)];
+      if (--missing_inputs[static_cast<std::size_t>(user)] == 0) {
+        ready.push_back(user);
+      }
     }
   }
   if (prep.order.size() != n_elems) {
@@ -204,49 +218,55 @@ std::shared_ptr<const wire::WireModeTables> CircuitBuilder::wire_tables_for(
   return it->second;
 }
 
-void CircuitBuilder::emit_element(Circuit& circuit,
-                                  const cell::NetlistDesc& desc,
-                                  const std::vector<const cell::CellSpec*>&
-                                      specs,
-                                  std::size_t e) const {
+Circuit::NetId CircuitBuilder::emit_element(
+    Circuit& circuit, const cell::NetlistDesc& desc,
+    const NetlistTopology& topo, std::size_t e,
+    const std::vector<Circuit::NetId>& local) const {
+  const std::span<const int> fanin = topo.inputs_of(e);
+  std::vector<Circuit::NetId> inputs;
+  inputs.reserve(fanin.size());
+  for (const int net : fanin) {
+    inputs.push_back(local[static_cast<std::size_t>(net)]);
+  }
   if (is_wire(desc, e)) {
     const auto& wire = wire_of(desc, e);
-    circuit.add_gate(GateKind::kBuf, wire.output,
-                     {circuit.find_net(wire.input)},
-                     std::make_unique<WireChannel>(wire_tables_for(wire)));
-    return;
+    return circuit.add_gate(GateKind::kBuf, wire.output, std::move(inputs),
+                            std::make_unique<WireChannel>(
+                                wire_tables_for(wire)));
   }
   const auto& inst = desc.instances[e];
-  const cell::CellSpec& spec = *specs[e];
-  std::vector<Circuit::NetId> inputs;
-  inputs.reserve(inst.inputs.size());
-  for (const auto& input : inst.inputs) {
-    inputs.push_back(circuit.find_net(input));
-  }
+  const cell::CellSpec& spec = *topo.specs[e];
   if (spec.hybrid) {
-    circuit.add_mis_gate(spec.kind, inst.output, std::move(inputs),
-                         spec.make_mis_channel());
-  } else {
-    circuit.add_gate(spec.kind, inst.output, std::move(inputs),
-                     spec.make_sis_channel());
+    return circuit.add_mis_gate(spec.kind, inst.output, std::move(inputs),
+                                spec.make_mis_channel());
   }
+  return circuit.add_gate(spec.kind, inst.output, std::move(inputs),
+                          spec.make_sis_channel());
 }
 
 std::unique_ptr<Circuit> CircuitBuilder::build(
     const cell::NetlistDesc& desc) const {
   const NetlistTopology prep = prepare_netlist(desc, *library_);
   auto circuit = std::make_unique<Circuit>();
-  for (const auto& name : desc.inputs) circuit->add_input(name);
+  circuit->reserve(prep.n_nets(), prep.n_elements());
+  // Global net id -> circuit NetId (inputs keep their ids; element outputs
+  // are numbered in emission order).
+  std::vector<Circuit::NetId> local(prep.n_nets(), -1);
+  for (std::size_t i = 0; i < desc.inputs.size(); ++i) {
+    local[i] = circuit->add_input(desc.inputs[i]);
+  }
   for (const int e : prep.order) {
-    emit_element(*circuit, desc, prep.specs, static_cast<std::size_t>(e));
+    const auto el = static_cast<std::size_t>(e);
+    local[static_cast<std::size_t>(prep.output_net(el))] =
+        emit_element(*circuit, desc, prep, el, local);
   }
   return circuit;
 }
 
 std::unique_ptr<ShardedCircuit> CircuitBuilder::build_sharded(
     const cell::NetlistDesc& desc, std::size_t n_shards) const {
-  const NetlistTopology prep = prepare_netlist(desc, *library_);
-  const std::size_t n_elems = prep.order.size();
+  NetlistTopology prep = prepare_netlist(desc, *library_);
+  const std::size_t n_elems = prep.n_elements();
   const std::size_t n_parts = std::clamp<std::size_t>(
       n_shards, 1, std::max<std::size_t>(n_elems, 1));
 
@@ -263,13 +283,13 @@ std::unique_ptr<ShardedCircuit> CircuitBuilder::build_sharded(
   }
   std::vector<int> last_use(n_elems, -1);
   for (std::size_t e = 0; e < n_elems; ++e) {
-    for_each_input(desc, e, [&](const std::string& input) {
-      const int d = prep.driver.at(input);
+    for (const int net : prep.inputs_of(e)) {
+      const int d = prep.driver(net);
       if (d >= 0) {
         last_use[static_cast<std::size_t>(d)] = std::max(
             last_use[static_cast<std::size_t>(d)], pos[e]);
       }
-    });
+    }
   }
   std::vector<int> live(n_elems + 1, 0);
   for (std::size_t d = 0; d < n_elems; ++d) {
@@ -316,34 +336,37 @@ std::unique_ptr<ShardedCircuit> CircuitBuilder::build_sharded(
   }
 
   // --- per-shard emission --------------------------------------------------
-  std::unordered_map<std::string, std::size_t> input_index;
-  for (std::size_t i = 0; i < desc.inputs.size(); ++i) {
-    input_index.emplace(desc.inputs[i], i);
-  }
-
+  // `local` maps a net id to its NetId in the shard being emitted: every
+  // net a shard reads is either one of its declared inputs or produced
+  // earlier in the shard, so entries left over from earlier shards are
+  // always overwritten before they are read. `home` records where each
+  // element output lives for boundary edges and trace lookup.
   std::vector<ShardedCircuit::Shard> shards(n_parts);
   std::vector<ShardedCircuit::BoundaryEdge> edges;
-  std::unordered_map<std::string, std::pair<std::size_t, Circuit::NetId>>
-      net_home;
+  std::vector<ShardedCircuit::NetHome> home(prep.n_nets());
+  std::vector<Circuit::NetId> local(prep.n_nets(), -1);
+  std::vector<std::size_t> seen_by(prep.n_nets(), n_parts);  // shard stamp
   for (std::size_t s = 0; s < n_parts; ++s) {
     // External nets of this shard: global primary inputs it reads (declared
     // in global stimulus order) and boundary nets from earlier shards
-    // (declared in producer topo order) -- both deterministic.
-    std::unordered_set<std::string> seen;
-    std::vector<std::size_t> primaries;  // global input indices
-    std::vector<int> producers;          // upstream element indices
+    // (declared in producer topo order) -- both deterministic. A primary
+    // input's net id is its global input index.
+    std::vector<int> primaries;  // global input indices
+    std::vector<int> producers;  // upstream element indices
     for (std::size_t p = cut[s]; p < cut[s + 1]; ++p) {
       const auto e = static_cast<std::size_t>(prep.order[p]);
-      for_each_input(desc, e, [&](const std::string& input) {
-        if (!seen.insert(input).second) return;
-        const int d = prep.driver.at(input);
+      for (const int net : prep.inputs_of(e)) {
+        std::size_t& stamp = seen_by[static_cast<std::size_t>(net)];
+        if (stamp == s) continue;
+        stamp = s;
+        const int d = prep.driver(net);
         if (d < 0) {
-          primaries.push_back(input_index.at(input));
+          primaries.push_back(net);
         } else if (shard_of[static_cast<std::size_t>(d)] !=
                    static_cast<int>(s)) {
           producers.push_back(d);
         }
-      });
+      }
     }
     std::sort(primaries.begin(), primaries.end());
     std::sort(producers.begin(), producers.end(), [&](int a, int b) {
@@ -352,37 +375,42 @@ std::unique_ptr<ShardedCircuit> CircuitBuilder::build_sharded(
     });
 
     auto circuit = std::make_unique<Circuit>();
+    const std::size_t n_external = primaries.size() + producers.size();
+    circuit->reserve(n_external + (cut[s + 1] - cut[s]), cut[s + 1] - cut[s]);
     std::vector<int> binding;
-    binding.reserve(primaries.size() + producers.size());
-    for (const std::size_t g : primaries) {
-      circuit->add_input(desc.inputs[g]);
-      binding.push_back(static_cast<int>(g));
+    binding.reserve(n_external);
+    for (const int g : primaries) {
+      local[static_cast<std::size_t>(g)] =
+          circuit->add_input(desc.inputs[static_cast<std::size_t>(g)]);
+      binding.push_back(g);
     }
     for (const int d : producers) {
-      const std::string& net = output_of(desc, static_cast<std::size_t>(d));
-      const std::size_t from_shard =
-          static_cast<std::size_t>(shard_of[static_cast<std::size_t>(d)]);
+      const auto net = static_cast<std::size_t>(
+          prep.output_net(static_cast<std::size_t>(d)));
       ShardedCircuit::BoundaryEdge edge;
-      edge.from_shard = from_shard;
-      edge.from_net = shards[from_shard].circuit->find_net(net);
+      edge.from_shard = home[net].shard;
+      edge.from_net = home[net].net;
       edge.to_shard = s;
       edge.to_input = circuit->n_inputs();
-      circuit->add_input(net);
+      local[net] = circuit->add_input(
+          NetlistTopology::output_of(desc, static_cast<std::size_t>(d)));
       binding.push_back(-1);
       edges.push_back(edge);
     }
     for (std::size_t p = cut[s]; p < cut[s + 1]; ++p) {
       const auto e = static_cast<std::size_t>(prep.order[p]);
-      emit_element(*circuit, desc, prep.specs, e);
-      const std::string& net = output_of(desc, e);
-      net_home.emplace(net, std::make_pair(s, circuit->find_net(net)));
+      const auto net = static_cast<std::size_t>(prep.output_net(e));
+      local[net] = emit_element(*circuit, desc, prep, e, local);
+      home[net] = {s, local[net]};
     }
     shards[s].circuit = std::move(circuit);
     shards[s].input_binding = std::move(binding);
   }
 
   return std::make_unique<ShardedCircuit>(std::move(shards), std::move(edges),
-                                          desc.inputs, std::move(net_home));
+                                          desc.inputs.size(),
+                                          std::move(prep.net_ids),
+                                          std::move(home));
 }
 
 std::unique_ptr<Circuit> CircuitBuilder::build_text(

@@ -28,6 +28,7 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -41,18 +42,41 @@
 namespace charlie::sim {
 
 /// Validated netlist topology, ready for emission or static analysis: the
-/// resolved cell spec per instance, the driver map, and the element
+/// resolved cell spec per instance, every net name interned once as an
+/// integer net id, the fan-in of every element as net ids, and the element
 /// topological order. Elements use unified indexing -- gates first in
 /// netlist order, wires after, so element e >= desc.instances.size() is
-/// wire e - desc.instances.size(). Produced by
+/// wire e - desc.instances.size(). Net ids number the primary inputs
+/// 0..I-1 in declaration order and element e's output I + e, so the driver
+/// of a net follows from its id. Produced by
 /// CircuitBuilder::analyze_topology (which performs the full build()
 /// validation pass) and consumed by build()/build_sharded() internally and
 /// by the sta layer's timing graph construction.
 struct NetlistTopology {
-  std::vector<const cell::CellSpec*> specs;     // per instance, netlist order
-  std::unordered_map<std::string, int> driver;  // net -> -1 (primary input)
-                                                //     or element index
-  std::vector<int> order;                       // elements, topo order
+  std::size_t n_inputs = 0;
+  std::vector<const cell::CellSpec*> specs;      // per instance, netlist order
+  std::unordered_map<std::string, int> net_ids;  // net name -> net id
+  // Fan-in in CSR form: element e reads the net ids
+  // fanin[fanin_begin[e] .. fanin_begin[e + 1]) in pin order.
+  std::vector<int> fanin_begin;
+  std::vector<int> fanin;
+  std::vector<int> order;  // elements, topo order
+
+  std::size_t n_elements() const { return order.size(); }
+  std::size_t n_nets() const { return n_inputs + order.size(); }
+  int output_net(std::size_t e) const {
+    return static_cast<int>(n_inputs + e);
+  }
+  /// Element driving `net`, or -1 for a primary input.
+  int driver(int net) const {
+    return net < static_cast<int>(n_inputs)
+               ? -1
+               : net - static_cast<int>(n_inputs);
+  }
+  std::span<const int> inputs_of(std::size_t e) const {
+    return {fanin.data() + fanin_begin[e],
+            static_cast<std::size_t>(fanin_begin[e + 1] - fanin_begin[e])};
+  }
 
   static bool is_wire(const cell::NetlistDesc& desc, std::size_t e) {
     return e >= desc.instances.size();
@@ -65,15 +89,6 @@ struct NetlistTopology {
                                       std::size_t e) {
     return is_wire(desc, e) ? wire_of(desc, e).output
                             : desc.instances[e].output;
-  }
-  template <typename Visit>
-  static void for_each_input(const cell::NetlistDesc& desc, std::size_t e,
-                             Visit&& visit) {
-    if (is_wire(desc, e)) {
-      visit(wire_of(desc, e).input);
-    } else {
-      for (const auto& input : desc.instances[e].inputs) visit(input);
-    }
   }
 };
 
@@ -131,11 +146,12 @@ class CircuitBuilder {
   std::shared_ptr<const wire::WireModeTables> wire_tables_for(
       const cell::NetlistWire& wire) const;
 
-  /// Emit one validated element (gate or wire) of `desc` into `circuit`;
-  /// `specs` is the per-instance resolved cell spec list.
-  void emit_element(Circuit& circuit, const cell::NetlistDesc& desc,
-                    const std::vector<const cell::CellSpec*>& specs,
-                    std::size_t e) const;
+  /// Emit one validated element (gate or wire) of `desc` into `circuit`
+  /// and return its circuit-local output net. `local` maps every net id
+  /// the element reads to its circuit-local NetId.
+  Circuit::NetId emit_element(Circuit& circuit, const cell::NetlistDesc& desc,
+                              const NetlistTopology& topo, std::size_t e,
+                              const std::vector<Circuit::NetId>& local) const;
 
   std::shared_ptr<const cell::CellLibrary> library_;
   // One collapsed table per distinct WireParams fingerprint, shared by

@@ -11,19 +11,18 @@
 
 namespace charlie::sim {
 
-ShardedCircuit::ShardedCircuit(
-    std::vector<Shard> shards, std::vector<BoundaryEdge> edges,
-    std::vector<std::string> global_inputs,
-    std::unordered_map<std::string, std::pair<std::size_t, Circuit::NetId>>
-        net_home)
+ShardedCircuit::ShardedCircuit(std::vector<Shard> shards,
+                               std::vector<BoundaryEdge> edges,
+                               std::size_t n_inputs,
+                               std::unordered_map<std::string, int> net_ids,
+                               std::vector<NetHome> home)
     : shards_(std::move(shards)),
       edges_(std::move(edges)),
-      global_inputs_(std::move(global_inputs)),
-      net_home_(std::move(net_home)) {
+      n_inputs_(n_inputs),
+      net_ids_(std::move(net_ids)),
+      home_(std::move(home)) {
   CHARLIE_ASSERT_MSG(!shards_.empty(), "sharded circuit: no shards");
-  for (std::size_t i = 0; i < global_inputs_.size(); ++i) {
-    input_index_.emplace(global_inputs_[i], i);
-  }
+  CHARLIE_ASSERT(home_.size() == net_ids_.size() && n_inputs_ <= home_.size());
   out_edges_.resize(shards_.size());
   in_edges_.resize(shards_.size());
   for (std::size_t i = 0; i < edges_.size(); ++i) {
@@ -71,15 +70,14 @@ double ShardedCircuit::Result::load_imbalance() const {
 const waveform::DigitalTrace& ShardedCircuit::Result::trace(
     const std::string& net) const {
   CHARLIE_ASSERT(owner != nullptr);
-  const auto home = owner->net_home_.find(net);
-  if (home != owner->net_home_.end()) {
-    return shard_results[home->second.first].trace(home->second.second);
+  const auto it = owner->net_ids_.find(net);
+  if (it == owner->net_ids_.end()) {
+    throw ConfigError("sharded circuit: unknown net " + net);
   }
-  const auto input = owner->input_index_.find(net);
-  if (input != owner->input_index_.end()) {
-    return input_traces[input->second];
-  }
-  throw ConfigError("sharded circuit: unknown net " + net);
+  const auto id = static_cast<std::size_t>(it->second);
+  if (id < owner->n_inputs_) return input_traces[id];
+  const NetHome& home = owner->home_[id];
+  return shard_results[home.shard].trace(home.net);
 }
 
 namespace {
@@ -98,7 +96,7 @@ ShardedCircuit::Result ShardedCircuit::simulate(
     const std::vector<waveform::DigitalTrace>& stimuli, double t_begin,
     double t_end, const ShardedSimConfig& config) {
   CHARLIE_ASSERT(t_end > t_begin);
-  CHARLIE_ASSERT_MSG(stimuli.size() == global_inputs_.size(),
+  CHARLIE_ASSERT_MSG(stimuli.size() == n_inputs_,
                      "sharded circuit: one stimulus per primary input");
   const std::size_t n_shards = shards_.size();
 
@@ -310,7 +308,7 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   // injections and multi-shard fanout of primary inputs, so the stimulus
   // share is recomputed from the global traces instead.
   long n_stimulus_events = 0;
-  result.input_traces.reserve(global_inputs_.size());
+  result.input_traces.reserve(n_inputs_);
   for (const waveform::DigitalTrace& stimulus : stimuli) {
     waveform::DigitalTrace windowed(stimulus.value_at(t_begin), {});
     for (std::size_t i = 0; i < stimulus.n_transitions(); ++i) {

@@ -78,19 +78,28 @@ class ShardedCircuit {
     std::size_t to_input = 0;  // consumer-local primary-input index
   };
 
-  /// Wires pre-built shards together. `global_inputs` are the netlist's
-  /// primary input names in stimulus order; `net_home` maps every
-  /// non-input net name to (shard, shard-local NetId).
-  ShardedCircuit(
-      std::vector<Shard> shards, std::vector<BoundaryEdge> edges,
-      std::vector<std::string> global_inputs,
-      std::unordered_map<std::string, std::pair<std::size_t, Circuit::NetId>>
-          net_home);
+  /// Where an element output lives: its producing shard and that shard's
+  /// local NetId.
+  struct NetHome {
+    std::size_t shard = 0;
+    Circuit::NetId net = -1;
+  };
+
+  /// Wires pre-built shards together. `net_ids` maps every net name to its
+  /// global net id (sim::NetlistTopology numbering: the netlist's n_inputs
+  /// primary inputs are ids 0..n_inputs-1 in stimulus order, element
+  /// outputs follow); `home[id]` locates every non-input net.
+  ShardedCircuit(std::vector<Shard> shards, std::vector<BoundaryEdge> edges,
+                 std::size_t n_inputs,
+                 std::unordered_map<std::string, int> net_ids,
+                 std::vector<NetHome> home);
 
   std::size_t n_shards() const { return shards_.size(); }
   std::size_t n_gates() const;
-  std::size_t n_inputs() const { return global_inputs_.size(); }
+  std::size_t n_inputs() const { return n_inputs_; }
   std::size_t n_boundary_edges() const { return edges_.size(); }
+  /// Shard s's circuit (its inputs are the shard's external nets).
+  const Circuit& shard(std::size_t s) const { return *shards_[s].circuit; }
 
   /// Simulation result addressed by net name (shards renumber nets, so
   /// global ids would be meaningless). Traces of primary inputs are the
@@ -144,10 +153,9 @@ class ShardedCircuit {
  private:
   std::vector<Shard> shards_;
   std::vector<BoundaryEdge> edges_;
-  std::vector<std::string> global_inputs_;
-  std::unordered_map<std::string, std::pair<std::size_t, Circuit::NetId>>
-      net_home_;
-  std::unordered_map<std::string, std::size_t> input_index_;  // by name
+  std::size_t n_inputs_ = 0;
+  std::unordered_map<std::string, int> net_ids_;  // name -> global net id
+  std::vector<NetHome> home_;                     // by global net id
   // Edge indices grouped by producer / consumer shard, in deterministic
   // construction order (consumer drain order must not depend on timing).
   std::vector<std::vector<std::size_t>> out_edges_;  // by from_shard

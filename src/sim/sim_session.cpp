@@ -97,21 +97,20 @@ void SimSession::initialize(
                      return x.t < y.t;
                    });
 
-  // --- result traces, pre-sized from stimulus statistics -------------------
+  // --- result traces --------------------------------------------------------
   // The arena path resets existing traces in place, keeping their
   // capacity; extra traces from a larger previous circuit are dropped.
-  const std::size_t per_net_estimate =
-      stimuli.empty() ? 0 : stim_events_.size() / stimuli.size() + 1;
+  // Fresh traces grow on demand: nets toggle far fewer times than the
+  // stimuli on average, and an up-front reservation per net would make
+  // every reserved page resident.
   result_.n_events = 0;
   if (result_.traces.size() > n_nets) result_.traces.resize(n_nets);
   for (std::size_t i = 0; i < result_.traces.size(); ++i) {
     result_.traces[i].reset(net_value_[i] != 0);
-    result_.traces[i].reserve(per_net_estimate);
   }
   result_.traces.reserve(n_nets);
   for (std::size_t i = result_.traces.size(); i < n_nets; ++i) {
     result_.traces.emplace_back(net_value_[i] != 0, std::vector<double>{});
-    result_.traces.back().reserve(per_net_estimate);
   }
 
   heap_.reset(c.gates_.size());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <span>
 #include <utility>
 
 #include "util/error.hpp"
@@ -45,35 +46,21 @@ bool feeds_opposite(sim::GateKind kind) {
 
 TimingGraph::TimingGraph(const cell::NetlistDesc& desc,
                          std::shared_ptr<const cell::CellLibrary> library)
-    : desc_(desc), library_(std::move(library)), builder_(library_) {
-  const sim::NetlistTopology topo = builder_.analyze_topology(desc_);
-  const std::size_t n_gates = desc_.instances.size();
-  const std::size_t n_elems = n_gates + desc_.wires.size();
-
-  auto add_net = [&](const std::string& name, int driver) {
-    const int id = static_cast<int>(net_names_.size());
-    net_names_.push_back(name);
-    net_index_.emplace(name, id);
-    driver_.push_back(driver);
-    return id;
-  };
-  for (const auto& name : desc_.inputs) add_net(name, -1);
+    : desc_(desc),
+      library_(std::move(library)),
+      builder_(library_),
+      topo_(builder_.analyze_topology(desc_)) {
+  const std::size_t n_elems = topo_.n_elements();
+  net_names_.reserve(topo_.n_nets());
+  net_names_.insert(net_names_.end(), desc_.inputs.begin(),
+                    desc_.inputs.end());
+  kinds_.reserve(n_elems);
   for (std::size_t e = 0; e < n_elems; ++e) {
-    add_net(sim::NetlistTopology::output_of(desc_, e), static_cast<int>(e));
+    net_names_.push_back(sim::NetlistTopology::output_of(desc_, e));
+    kinds_.push_back(sim::NetlistTopology::is_wire(desc_, e)
+                         ? sim::GateKind::kBuf
+                         : topo_.specs[e]->kind);
   }
-
-  elements_.resize(n_elems);
-  for (std::size_t e = 0; e < n_elems; ++e) {
-    Element& el = elements_[e];
-    el.wire = sim::NetlistTopology::is_wire(desc_, e);
-    el.kind = el.wire ? sim::GateKind::kBuf : topo.specs[e]->kind;
-    el.output = net_id(sim::NetlistTopology::output_of(desc_, e));
-    sim::NetlistTopology::for_each_input(
-        desc_, e, [&](const std::string& in) {
-          el.inputs.push_back(net_id(in));
-        });
-  }
-  order_ = topo.order;
 
   endpoints_ = desc_.outputs;
   if (endpoints_.empty() && !desc_.instances.empty()) {
@@ -89,8 +76,8 @@ TimingGraph::TimingGraph(const cell::NetlistDesc& desc,
 }
 
 int TimingGraph::net_id(const std::string& name) const {
-  const auto it = net_index_.find(name);
-  CHARLIE_ASSERT_MSG(it != net_index_.end(), "timing graph: unknown net");
+  const auto it = topo_.net_ids.find(name);
+  CHARLIE_ASSERT_MSG(it != topo_.net_ids.end(), "timing graph: unknown net");
   return it->second;
 }
 
@@ -109,16 +96,17 @@ void TimingGraph::propagate(ArcOf&& arc_of, Join&& join, std::vector<V>& rise,
                             std::vector<V>& fall) const {
   rise.assign(net_names_.size(), V{});
   fall.assign(net_names_.size(), V{});
-  for (const int e : order_) {
-    const Element& el = elements_[static_cast<std::size_t>(e)];
-    const bool same = feeds_same(el.kind);
-    const bool opposite = feeds_opposite(el.kind);
+  for (const int el : topo_.order) {
+    const auto e = static_cast<std::size_t>(el);
+    const std::span<const int> inputs = topo_.inputs_of(e);
+    const bool same = feeds_same(kinds_[e]);
+    const bool opposite = feeds_opposite(kinds_[e]);
     for (const bool out_rising : {false, true}) {
       V best{};
       bool has = false;
-      for (std::size_t p = 0; p < el.inputs.size(); ++p) {
-        const auto in = static_cast<std::size_t>(el.inputs[p]);
-        const V arc = arc_of(static_cast<std::size_t>(e), p, out_rising);
+      for (std::size_t p = 0; p < inputs.size(); ++p) {
+        const auto in = static_cast<std::size_t>(inputs[p]);
+        const V arc = arc_of(e, p, out_rising);
         const auto consider = [&](const V& arrival) {
           V cand = arrival + arc;
           best = has ? join(best, cand) : cand;
@@ -128,13 +116,14 @@ void TimingGraph::propagate(ArcOf&& arc_of, Join&& join, std::vector<V>& rise,
         if (opposite) consider(out_rising ? fall[in] : rise[in]);
       }
       CHARLIE_ASSERT_MSG(has, "timing graph: element with no timing arc");
-      (out_rising ? rise : fall)[static_cast<std::size_t>(el.output)] = best;
+      (out_rising ? rise : fall)[static_cast<std::size_t>(
+          topo_.output_net(e))] = best;
     }
   }
 }
 
 TimingResult TimingGraph::analyze(const ArcSet& arcs, double deadline) const {
-  CHARLIE_ASSERT_MSG(arcs.elements.size() == elements_.size(),
+  CHARLIE_ASSERT_MSG(arcs.elements.size() == kinds_.size(),
                      "timing graph: arc set does not match the netlist");
   std::vector<double> rise;
   std::vector<double> fall;
@@ -169,22 +158,19 @@ TimingResult TimingGraph::analyze(const ArcSet& arcs, double deadline) const {
     req_rise[static_cast<std::size_t>(id)] = target;
     req_fall[static_cast<std::size_t>(id)] = target;
   }
-  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-    const Element& el = elements_[static_cast<std::size_t>(*it)];
-    const bool same = feeds_same(el.kind);
-    const bool opposite = feeds_opposite(el.kind);
+  for (auto it = topo_.order.rbegin(); it != topo_.order.rend(); ++it) {
+    const auto e = static_cast<std::size_t>(*it);
+    const std::span<const int> inputs = topo_.inputs_of(e);
+    const bool same = feeds_same(kinds_[e]);
+    const bool opposite = feeds_opposite(kinds_[e]);
+    const auto out = static_cast<std::size_t>(topo_.output_net(e));
     for (const bool out_rising : {false, true}) {
-      const double r = out_rising
-                           ? req_rise[static_cast<std::size_t>(el.output)]
-                           : req_fall[static_cast<std::size_t>(el.output)];
+      const double r = out_rising ? req_rise[out] : req_fall[out];
       if (!std::isfinite(r)) continue;
-      for (std::size_t p = 0; p < el.inputs.size(); ++p) {
-        const auto in = static_cast<std::size_t>(el.inputs[p]);
-        const double arc = out_rising
-                               ? arcs.elements[static_cast<std::size_t>(*it)]
-                                     .rise[p]
-                               : arcs.elements[static_cast<std::size_t>(*it)]
-                                     .fall[p];
+      for (std::size_t p = 0; p < inputs.size(); ++p) {
+        const auto in = static_cast<std::size_t>(inputs[p]);
+        const double arc = out_rising ? arcs.elements[e].rise[p]
+                                      : arcs.elements[e].fall[p];
         if (same) {
           double& t = out_rising ? req_rise[in] : req_fall[in];
           t = std::min(t, r - arc);
@@ -215,7 +201,7 @@ TimingResult TimingGraph::analyze(const ArcSet& arcs, double deadline) const {
 
 std::vector<CriticalPath> TimingGraph::critical_paths(const ArcSet& arcs,
                                                       std::size_t k) const {
-  CHARLIE_ASSERT_MSG(arcs.elements.size() == elements_.size(),
+  CHARLIE_ASSERT_MSG(arcs.elements.size() == kinds_.size(),
                      "timing graph: arc set does not match the netlist");
   std::vector<CriticalPath> out;
   if (k == 0 || endpoint_ids_.empty()) return out;
@@ -271,7 +257,7 @@ std::vector<CriticalPath> TimingGraph::critical_paths(const ArcSet& arcs,
     ++expansions;
     State s = queue.top();
     queue.pop();
-    const int d = driver_[static_cast<std::size_t>(s.net)];
+    const int d = topo_.driver(s.net);
     if (d < 0) {
       // Head is a primary input: the path is complete and its priority is
       // its exact delay.
@@ -284,11 +270,12 @@ std::vector<CriticalPath> TimingGraph::critical_paths(const ArcSet& arcs,
       out.push_back(std::move(path));
       continue;
     }
-    const Element& el = elements_[static_cast<std::size_t>(d)];
-    const bool same = feeds_same(el.kind);
-    const bool opposite = feeds_opposite(el.kind);
-    for (std::size_t p = 0; p < el.inputs.size(); ++p) {
-      const int in = el.inputs[p];
+    const std::span<const int> inputs =
+        topo_.inputs_of(static_cast<std::size_t>(d));
+    const bool same = feeds_same(kinds_[static_cast<std::size_t>(d)]);
+    const bool opposite = feeds_opposite(kinds_[static_cast<std::size_t>(d)]);
+    for (std::size_t p = 0; p < inputs.size(); ++p) {
+      const int in = inputs[p];
       const double arc =
           s.rising ? arcs.elements[static_cast<std::size_t>(d)].rise[p]
                    : arcs.elements[static_cast<std::size_t>(d)].fall[p];
@@ -312,7 +299,7 @@ std::vector<CriticalPath> TimingGraph::critical_paths(const ArcSet& arcs,
 CanonicalArcSet TimingGraph::canonical_arcs(
     const sim::ProcessVariation& variation) const {
   variation.validate();
-  const std::size_t n_elems = elements_.size();
+  const std::size_t n_elems = kinds_.size();
   CanonicalArcSet set;
   set.rise.resize(n_elems);
   set.fall.resize(n_elems);
@@ -361,8 +348,8 @@ CanonicalArcSet TimingGraph::canonical_arcs(
 }
 
 Canonical TimingGraph::analyze_ssta(const CanonicalArcSet& arcs) const {
-  CHARLIE_ASSERT_MSG(arcs.rise.size() == elements_.size() &&
-                         arcs.fall.size() == elements_.size(),
+  CHARLIE_ASSERT_MSG(arcs.rise.size() == kinds_.size() &&
+                         arcs.fall.size() == kinds_.size(),
                      "timing graph: canonical arc set does not match");
   std::vector<Canonical> rise;
   std::vector<Canonical> fall;

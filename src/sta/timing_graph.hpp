@@ -29,7 +29,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cell/cell_library.hpp"
@@ -123,13 +122,6 @@ class TimingGraph {
   Canonical analyze_ssta(const CanonicalArcSet& arcs) const;
 
  private:
-  struct Element {
-    sim::GateKind kind = sim::GateKind::kBuf;
-    bool wire = false;
-    std::vector<int> inputs;  // net ids, pin order
-    int output = -1;          // net id
-  };
-
   int net_id(const std::string& name) const;
 
   /// Generic forward (net, direction) propagation over the topo order;
@@ -142,11 +134,9 @@ class TimingGraph {
   cell::NetlistDesc desc_;
   std::shared_ptr<const cell::CellLibrary> library_;
   sim::CircuitBuilder builder_;  // wire-table memoization across corners
-  std::vector<std::string> net_names_;          // inputs first, element order
-  std::unordered_map<std::string, int> net_index_;
-  std::vector<int> driver_;                     // net id -> element or -1
-  std::vector<Element> elements_;               // unified element indexing
-  std::vector<int> order_;                      // element topo order
+  sim::NetlistTopology topo_;    // net ids, CSR fan-in, element topo order
+  std::vector<std::string> net_names_;  // by net id: inputs, then elements
+  std::vector<sim::GateKind> kinds_;    // by element; wires are kBuf
   std::vector<std::string> endpoints_;
   std::vector<int> endpoint_ids_;
   ArcSet nominal_arcs_;

@@ -16,8 +16,8 @@ class DigitalTrace {
   /// Append a transition; must advance time.
   void append_transition(double t);
 
-  /// Pre-size the transition storage (capacity hint, e.g. from stimulus
-  /// statistics in the event-driven simulator).
+  /// Pre-size the transition storage (capacity hint for a caller that
+  /// knows how many transitions it will append).
   void reserve(std::size_t n) { transitions_.reserve(n); }
 
   /// Reset to an empty trace with the given initial value, keeping the

@@ -4,15 +4,20 @@
 // shard count, thread count, and window quantum. Runs on the repo's
 // c432-class netlist (examples/netlists/c432.net, ~150 gates, all nine
 // cells) so the lock covers SIS, hybrid MIS, and mixed fanout structure.
+// A ~5k-element generated netlist pins the partition itself: per-shard
+// gate and input counts, boundary edges, and the shard.* telemetry.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
+#include "cell/netlist_gen.hpp"
 #include "sim/circuit_builder.hpp"
 #include "sim/sharded_circuit.hpp"
 #include "util/error.hpp"
@@ -35,12 +40,13 @@ sim::CircuitBuilder builder() {
   return sim::CircuitBuilder(library);
 }
 
-std::vector<waveform::DigitalTrace> stimuli_for(std::size_t n_inputs,
-                                                std::uint64_t seed) {
+std::vector<waveform::DigitalTrace> stimuli_for(
+    std::size_t n_inputs, std::uint64_t seed,
+    std::size_t n_transitions = 40) {
   waveform::TraceConfig config;
   config.mu = 150e-12;
   config.sigma = 60e-12;
-  config.n_transitions = 40;
+  config.n_transitions = n_transitions;
   util::Rng rng(seed);
   return waveform::generate_traces(config, n_inputs, rng);
 }
@@ -87,6 +93,133 @@ TEST(ShardedCircuit, PartitionCoversEveryGateAcyclically) {
     EXPECT_EQ(sharded->n_inputs(), c432().inputs.size());
     if (n_shards > 1) {
       EXPECT_GT(sharded->n_boundary_edges(), 0u);
+    }
+  }
+}
+
+// A generated netlist with RC wires, ~5k elements: large enough that the
+// min-cut search has real choices at every cut.
+const cell::NetlistDesc& generated() {
+  static const cell::NetlistDesc desc = [] {
+    cell::NetlistGenConfig config;
+    config.n_gates = 5000;
+    config.n_inputs = 32;
+    config.n_outputs = 16;
+    config.wire_fraction = 0.05;
+    config.seed = 5;
+    return cell::generate_netlist(config);
+  }();
+  return desc;
+}
+
+// The shard.* lines of a metrics JSON export (one counter or histogram per
+// line), reduced to a 64-bit FNV-1a digest.
+std::uint64_t shard_metrics_digest(const std::string& json) {
+  std::istringstream in(json);
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"shard.") == std::string::npos) continue;
+    for (const char c : line + "\n") {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+TEST(ShardedCircuit, PartitionIsPinned) {
+  // Pinned values: the cut positions, each shard's external inputs, the
+  // boundary edges and the per-run shard.* telemetry are part of the
+  // builder's output and must not move when elaboration is reworked.
+  struct Expected {
+    std::size_t n_shards;
+    std::vector<std::size_t> gates;
+    std::vector<std::size_t> inputs;
+    std::size_t boundary_edges;
+    std::uint64_t shard_metrics;
+  };
+  const std::vector<Expected> pins = {
+      {2, {3108, 2146}, {32, 723}, 723, 0x6d7044f72aadcf9aULL},
+      {3, {1316, 1792, 2146}, {32, 707, 723}, 1428, 0x33ee548ca540e7eeULL},
+      {4,
+       {1001, 1947, 1257, 1049},
+       {32, 669, 702, 706},
+       2068,
+       0xb67a88750058932fULL},
+  };
+  const auto b = builder();
+  const auto stimuli = stimuli_for(generated().inputs.size(), 11, 20);
+  const double t_end = t_end_for(stimuli);
+  for (const Expected& pin : pins) {
+    const auto sharded = b.build_sharded(generated(), pin.n_shards);
+    ASSERT_EQ(sharded->n_shards(), pin.n_shards);
+    for (std::size_t s = 0; s < pin.n_shards; ++s) {
+      EXPECT_EQ(sharded->shard(s).n_gates(), pin.gates[s])
+          << "K=" << pin.n_shards << " shard " << s;
+      EXPECT_EQ(sharded->shard(s).n_inputs(), pin.inputs[s])
+          << "K=" << pin.n_shards << " shard " << s;
+    }
+    EXPECT_EQ(sharded->n_boundary_edges(), pin.boundary_edges)
+        << "K=" << pin.n_shards;
+    sim::ShardedSimConfig config;
+    config.n_threads = 2;
+    const auto result = sharded->simulate(stimuli, 0.0, t_end, config);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.n_events, 20920) << "K=" << pin.n_shards;
+    EXPECT_EQ(shard_metrics_digest(result.metrics.to_json()),
+              pin.shard_metrics)
+        << "K=" << pin.n_shards;
+  }
+}
+
+TEST(NetlistTopology, NetIdsAreInputsThenElementsWithResolvedFanin) {
+  const cell::NetlistDesc& desc = generated();
+  const sim::NetlistTopology topo = builder().analyze_topology(desc);
+  const std::size_t n_inputs = desc.inputs.size();
+  const std::size_t n_elems = desc.instances.size() + desc.wires.size();
+  ASSERT_EQ(topo.n_inputs, n_inputs);
+  ASSERT_EQ(topo.n_elements(), n_elems);
+  ASSERT_EQ(topo.n_nets(), n_inputs + n_elems);
+  ASSERT_EQ(topo.net_ids.size(), topo.n_nets());
+  std::vector<std::string> names(topo.n_nets());
+  for (std::size_t i = 0; i < n_inputs; ++i) {
+    EXPECT_EQ(topo.net_ids.at(desc.inputs[i]), static_cast<int>(i));
+    EXPECT_EQ(topo.driver(static_cast<int>(i)), -1);
+    names[i] = desc.inputs[i];
+  }
+  for (std::size_t e = 0; e < n_elems; ++e) {
+    const std::string& out = sim::NetlistTopology::output_of(desc, e);
+    EXPECT_EQ(topo.net_ids.at(out), static_cast<int>(n_inputs + e));
+    EXPECT_EQ(topo.output_net(e), static_cast<int>(n_inputs + e));
+    EXPECT_EQ(topo.driver(topo.output_net(e)), static_cast<int>(e));
+    names[n_inputs + e] = out;
+  }
+  // Fan-in resolves back to the desc's input names, pin by pin.
+  for (std::size_t e = 0; e < n_elems; ++e) {
+    std::vector<std::string> expected;
+    if (sim::NetlistTopology::is_wire(desc, e)) {
+      expected.push_back(sim::NetlistTopology::wire_of(desc, e).input);
+    } else {
+      expected = desc.instances[e].inputs;
+    }
+    std::vector<std::string> actual;
+    for (const int net : topo.inputs_of(e)) {
+      actual.push_back(names[static_cast<std::size_t>(net)]);
+    }
+    EXPECT_EQ(actual, expected) << "element " << e;
+  }
+  // The order is a topological order of the fan-in graph.
+  std::vector<int> pos(n_elems, -1);
+  for (std::size_t p = 0; p < topo.order.size(); ++p) {
+    pos[static_cast<std::size_t>(topo.order[p])] = static_cast<int>(p);
+  }
+  for (std::size_t e = 0; e < n_elems; ++e) {
+    ASSERT_GE(pos[e], 0);
+    for (const int net : topo.inputs_of(e)) {
+      const int d = topo.driver(net);
+      if (d >= 0) {
+        EXPECT_LT(pos[static_cast<std::size_t>(d)], pos[e]);
+      }
     }
   }
 }
