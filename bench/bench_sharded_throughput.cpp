@@ -7,16 +7,20 @@
 // events, and the result is bit-identical to the monolithic engine.
 //
 // BM_BuildSharded times the elaboration that the throughput benchmark keeps
-// out of its loop.
+// out of its loop; BM_ParseNetlist times the front end before it, parsing
+// the same netlist's text from memory.
 //
 // Multi-threaded timing: wall clock (UseRealTime) is the scaling headline,
 // process CPU time (MeasureProcessCPUTime) exposes the parallel overhead.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "cell/cell_library.hpp"
+#include "cell/netlist.hpp"
 #include "cell/netlist_gen.hpp"
 #include "sim/circuit_builder.hpp"
 #include "sim/sharded_circuit.hpp"
@@ -113,6 +117,24 @@ void BM_BuildSharded(benchmark::State& state) {
       static_cast<double>(desc.instances.size() + desc.wires.size()));
 }
 BENCHMARK(BM_BuildSharded)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// Parsing the same netlist (100k gates + 2k wires) from its text, already
+// in memory: tokenizing, validation of the syntax, and the NetlistDesc
+// strings, plus destroying the result.
+void BM_ParseNetlist(benchmark::State& state) {
+  const std::string text = cell::write_netlist(big_netlist());
+  std::size_t elements = 0;
+  for (auto _ : state) {
+    const cell::NetlistDesc desc = cell::parse_netlist(text);
+    elements = desc.instances.size() + desc.wires.size();
+    benchmark::DoNotOptimize(elements);
+  }
+  state.counters["elements"] =
+      benchmark::Counter(static_cast<double>(elements));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseNetlist)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string_view>
 #include <unordered_set>
 
 #include "util/csv.hpp"
@@ -14,15 +16,27 @@ namespace charlie::cell {
 
 namespace {
 
-using util::to_upper_ascii;
+using util::iequals_ascii;
 using util::trim_ascii;
+
+// Every token is a view into the source text; the only strings the parser
+// allocates are the names NetlistDesc keeps (and error messages).
 
 [[noreturn]] void syntax_error(const std::string& source, int line,
                                const std::string& why) {
   throw ConfigError(source + ":" + std::to_string(line) + ": " + why);
 }
 
-bool is_identifier(const std::string& name) {
+std::string quoted(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  out += '"';
+  out += text;
+  out += '"';
+  return out;
+}
+
+bool is_identifier(std::string_view name) {
   if (name.empty()) return false;
   if (!std::isalpha(static_cast<unsigned char>(name[0])) && name[0] != '_') {
     return false;
@@ -36,79 +50,102 @@ bool is_identifier(const std::string& name) {
 // trimmed. Arguments are either net identifiers or `key=value` parameter
 // assignments (WIRE statements only; validated by the caller).
 struct Argument {
-  std::string text;   // identifier, or the key for assignments
-  std::string value;  // assignment value; empty means plain identifier
+  std::string_view text;   // identifier, or the key for assignments
+  std::string_view value;  // assignment value; empty means plain identifier
   bool is_assignment = false;
 };
 
 struct Statement {
-  std::string head;
-  std::vector<Argument> args;
+  std::string_view head;
+  std::vector<Argument> args;  // reused across lines: cleared, not freed
 };
 
-Statement parse_statement(const std::string& text, int line,
-                          const std::string& source) {
+void parse_statement(std::string_view text, int line,
+                     const std::string& source, Statement& s) {
+  s.args.clear();
   const auto open = text.find('(');
-  if (open == std::string::npos) {
-    syntax_error(source, line, "expected `cell(out, in, ...)`, got \"" + text + "\"");
+  if (open == std::string_view::npos) {
+    syntax_error(source, line, "expected `cell(out, in, ...)`, got " + quoted(text));
   }
-  Statement s;
   s.head = trim_ascii(text.substr(0, open));
   if (!is_identifier(s.head)) {
-    syntax_error(source, line, "bad cell name \"" + s.head + "\"");
+    syntax_error(source, line, "bad cell name " + quoted(s.head));
   }
   const auto close = text.find(')', open);
-  if (close == std::string::npos) syntax_error(source, line, "missing `)`");
-  const std::string tail = trim_ascii(text.substr(close + 1));
+  if (close == std::string_view::npos) syntax_error(source, line, "missing `)`");
+  const std::string_view tail = trim_ascii(text.substr(close + 1));
   if (!tail.empty() && tail != ";") {
-    syntax_error(source, line, "trailing text after `)`: \"" + tail + "\"");
+    syntax_error(source, line, "trailing text after `)`: " + quoted(tail));
   }
 
-  std::string args = text.substr(open + 1, close - open - 1);
+  const std::string_view args = text.substr(open + 1, close - open - 1);
   std::size_t pos = 0;
   while (true) {
     const auto comma = args.find(',', pos);
-    const std::string arg = trim_ascii(
-        comma == std::string::npos ? args.substr(pos)
-                                   : args.substr(pos, comma - pos));
-    if (arg.empty() && comma == std::string::npos && s.args.empty()) {
+    const std::string_view arg = trim_ascii(
+        comma == std::string_view::npos ? args.substr(pos)
+                                        : args.substr(pos, comma - pos));
+    if (arg.empty() && comma == std::string_view::npos && s.args.empty()) {
       break;  // empty argument list: `cell()`
     }
     Argument parsed;
     const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
+    if (eq != std::string_view::npos) {
       parsed.is_assignment = true;
       parsed.text = trim_ascii(arg.substr(0, eq));
       parsed.value = trim_ascii(arg.substr(eq + 1));
       if (!is_identifier(parsed.text)) {
-        syntax_error(source, line, "bad parameter name \"" + parsed.text + "\"");
+        syntax_error(source, line, "bad parameter name " + quoted(parsed.text));
       }
       if (parsed.value.empty()) {
         syntax_error(source, line,
-                     "parameter \"" + parsed.text + "\" needs a value");
+                     "parameter " + quoted(parsed.text) + " needs a value");
       }
     } else {
       parsed.text = arg;
       if (!is_identifier(parsed.text)) {
-        syntax_error(source, line, "bad net name \"" + arg + "\"");
+        syntax_error(source, line, "bad net name " + quoted(arg));
       }
     }
-    s.args.push_back(std::move(parsed));
-    if (comma == std::string::npos) break;
+    s.args.push_back(parsed);
+    if (comma == std::string_view::npos) break;
     pos = comma + 1;
   }
-  return s;
 }
 
 // The i-th argument as a plain net identifier (rejects assignments).
-const std::string& net_argument(const Statement& s, std::size_t i, int line,
-                                const std::string& source) {
+std::string_view net_argument(const Statement& s, std::size_t i, int line,
+                              const std::string& source) {
   const Argument& arg = s.args[i];
   if (arg.is_assignment) {
     syntax_error(source, line, "expected a net name, got parameter assignment \"" +
-                           arg.text + "=" + arg.value + "\"");
+                           std::string(arg.text) + "=" +
+                           std::string(arg.value) + "\"");
   }
   return arg.text;
+}
+
+// WIRE parameter keys, matched case-insensitively; a bit per key records
+// which ones a statement has set. The required keys come first.
+constexpr std::string_view kWireKeys[] = {"r",      "c",     "sections",
+                                          "rdrive", "cload", "tdrive",
+                                          "vdd"};
+constexpr unsigned kRequiredWireKeys = 0b11;  // r and c
+
+// A WIRE parameter value with util::parse_*_field semantics. The error
+// context -- and a copy of the value -- are only built for a bad value.
+template <typename Try, typename Parse>
+auto wire_number(const Argument& arg, int line, const std::string& source,
+                 Try&& try_parse, Parse&& parse) {
+  if (const auto value = try_parse(arg.value)) return *value;
+  const std::string key = util::to_lower_ascii(std::string(arg.text));
+  return parse(std::string(arg.value),
+               source + ":" + std::to_string(line) + ": WIRE parameter " + key);
+}
+
+double wire_double(const Argument& arg, int line, const std::string& source) {
+  return wire_number(arg, line, source, util::try_parse_double_field,
+                     util::parse_double_field);
 }
 
 NetlistWire parse_wire(const Statement& s, int line,
@@ -120,49 +157,72 @@ NetlistWire parse_wire(const Statement& s, int line,
   wire.output = net_argument(s, 0, line, source);
   wire.input = net_argument(s, 1, line, source);
   wire.line = line;
-  bool have_r = false;
-  bool have_c = false;
-  std::unordered_set<std::string> seen;
+  unsigned seen = 0;
   for (std::size_t i = 2; i < s.args.size(); ++i) {
     const Argument& arg = s.args[i];
     if (!arg.is_assignment) {
       syntax_error(source, line, "WIRE takes key=value parameters after the two "
-                         "nets, got net name \"" +
-                             arg.text + "\"");
+                         "nets, got net name " +
+                             quoted(arg.text));
     }
-    const std::string key = util::to_lower_ascii(arg.text);
-    if (!seen.insert(key).second) {
-      syntax_error(source, line, "WIRE parameter \"" + key + "\" given twice");
-    }
-    const std::string context =
-        source + ":" + std::to_string(line) + ": WIRE parameter " + key;
-    if (key == "r") {
-      wire.r_total = util::parse_double_field(arg.value, context);
-      have_r = true;
-    } else if (key == "c") {
-      wire.c_total = util::parse_double_field(arg.value, context);
-      have_c = true;
-    } else if (key == "sections") {
-      wire.sections = static_cast<int>(
-          util::parse_long_field(arg.value, context));
-    } else if (key == "rdrive") {
-      wire.r_drive = util::parse_double_field(arg.value, context);
-    } else if (key == "cload") {
-      wire.c_load = util::parse_double_field(arg.value, context);
-    } else if (key == "tdrive") {
-      wire.t_drive = util::parse_double_field(arg.value, context);
-    } else if (key == "vdd") {
-      wire.vdd = util::parse_double_field(arg.value, context);
-    } else {
-      syntax_error(source, line, "unknown WIRE parameter \"" + key +
-                             "\" (expected r, c, sections, rdrive, cload, "
+    const auto* const known =
+        std::find_if(std::begin(kWireKeys), std::end(kWireKeys),
+                     [&](std::string_view key) {
+                       return iequals_ascii(arg.text, key);
+                     });
+    if (known == std::end(kWireKeys)) {
+      syntax_error(source, line, "unknown WIRE parameter " +
+                             quoted(util::to_lower_ascii(std::string(arg.text))) +
+                             " (expected r, c, sections, rdrive, cload, "
                              "tdrive, vdd)");
     }
+    const unsigned bit = 1U << (known - std::begin(kWireKeys));
+    if ((seen & bit) != 0) {
+      syntax_error(source, line,
+                   "WIRE parameter " + quoted(*known) + " given twice");
+    }
+    seen |= bit;
+    if (*known == "r") {
+      wire.r_total = wire_double(arg, line, source);
+    } else if (*known == "c") {
+      wire.c_total = wire_double(arg, line, source);
+    } else if (*known == "sections") {
+      wire.sections = static_cast<int>(
+          wire_number(arg, line, source, util::try_parse_long_field,
+                      util::parse_long_field));
+    } else if (*known == "rdrive") {
+      wire.r_drive = wire_double(arg, line, source);
+    } else if (*known == "cload") {
+      wire.c_load = wire_double(arg, line, source);
+    } else if (*known == "tdrive") {
+      wire.t_drive = wire_double(arg, line, source);
+    } else {
+      wire.vdd = wire_double(arg, line, source);
+    }
   }
-  if (!have_r || !have_c) {
+  if ((seen & kRequiredWireKeys) != kRequiredWireKeys) {
     syntax_error(source, line, "WIRE requires both r= and c= parameters");
   }
   return wire;
+}
+
+// Primary input/output declaration: every argument is a new net name.
+void parse_declaration(const Statement& s, int line, const std::string& source,
+                       const char* kind, const char* label,
+                       std::unordered_set<std::string_view>& declared,
+                       std::vector<std::string>& names) {
+  if (s.args.empty()) {
+    syntax_error(source, line,
+                 std::string(kind) + "() needs at least one net name");
+  }
+  for (std::size_t i = 0; i < s.args.size(); ++i) {
+    const std::string_view name = net_argument(s, i, line, source);
+    if (!declared.insert(name).second) {
+      syntax_error(source, line, std::string(label) + " " + quoted(name) +
+                                     " declared twice");
+    }
+    names.emplace_back(name);
+  }
 }
 
 }  // namespace
@@ -170,73 +230,58 @@ NetlistWire parse_wire(const Statement& s, int line,
 NetlistDesc parse_netlist(const std::string& text,
                           const std::string& source) {
   NetlistDesc desc;
-  std::unordered_set<std::string> declared_inputs;
-  std::unordered_set<std::string> declared_outputs;
+  // Declared names are views into `text`, which outlives the parse.
+  std::unordered_set<std::string_view> declared_inputs;
+  std::unordered_set<std::string_view> declared_outputs;
+  // At most one instance per line.
+  desc.instances.reserve(
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1);
+  Statement s;
 
+  const std::string_view all(text);
   int line_no = 0;
   std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const auto eol = text.find('\n', pos);
-    std::string line = eol == std::string::npos
-                           ? text.substr(pos)
-                           : text.substr(pos, eol - pos);
-    pos = eol == std::string::npos ? text.size() + 1 : eol + 1;
+  while (pos <= all.size()) {
+    const auto eol = all.find('\n', pos);
+    std::string_view line = eol == std::string_view::npos
+                                ? all.substr(pos)
+                                : all.substr(pos, eol - pos);
+    pos = eol == std::string_view::npos ? all.size() + 1 : eol + 1;
     ++line_no;
 
-    for (const char* marker : {"#", "//"}) {
-      const auto at = line.find(marker);
-      if (at != std::string::npos) line.erase(at);
-    }
-    line = trim_ascii(line);
+    // A comment runs from the first `#` or `//` to the end of the line.
+    line = trim_ascii(line.substr(0, std::min(line.find('#'),
+                                                    line.find("//"))));
     if (line.empty()) continue;
 
-    const Statement s = parse_statement(line, line_no, source);
-    const std::string head = to_upper_ascii(s.head);
-    if (head == "INPUT") {
-      if (s.args.empty()) {
-        syntax_error(source, line_no, "input() needs at least one net name");
-      }
-      for (std::size_t i = 0; i < s.args.size(); ++i) {
-        const std::string& name = net_argument(s, i, line_no, source);
-        if (!declared_inputs.insert(name).second) {
-          syntax_error(source, line_no, "primary input \"" + name +
-                                    "\" declared twice");
-        }
-        desc.inputs.push_back(name);
-      }
+    parse_statement(line, line_no, source, s);
+    if (iequals_ascii(s.head, "INPUT")) {
+      parse_declaration(s, line_no, source, "input", "primary input",
+                        declared_inputs, desc.inputs);
       continue;
     }
-    if (head == "OUTPUT") {
-      if (s.args.empty()) {
-        syntax_error(source, line_no, "output() needs at least one net name");
-      }
-      for (std::size_t i = 0; i < s.args.size(); ++i) {
-        const std::string& name = net_argument(s, i, line_no, source);
-        if (!declared_outputs.insert(name).second) {
-          syntax_error(source, line_no, "primary output \"" + name +
-                                    "\" declared twice");
-        }
-        desc.outputs.push_back(name);
-      }
+    if (iequals_ascii(s.head, "OUTPUT")) {
+      parse_declaration(s, line_no, source, "output", "primary output",
+                        declared_outputs, desc.outputs);
       continue;
     }
-    if (head == "WIRE") {
+    if (iequals_ascii(s.head, "WIRE")) {
       desc.wires.push_back(parse_wire(s, line_no, source));
       continue;
     }
     if (s.args.empty()) {
       syntax_error(source, line_no,
-                   "instance needs an output net: " + s.head + "(...)");
+                   "instance needs an output net: " + std::string(s.head) +
+                       "(...)");
     }
-    NetlistInstance inst;
-    inst.cell = head;
+    NetlistInstance& inst = desc.instances.emplace_back();
+    inst.cell = util::to_upper_ascii(std::string(s.head));
     inst.output = net_argument(s, 0, line_no, source);
     inst.inputs.reserve(s.args.size() - 1);
     for (std::size_t i = 1; i < s.args.size(); ++i) {
-      inst.inputs.push_back(net_argument(s, i, line_no, source));
+      inst.inputs.emplace_back(net_argument(s, i, line_no, source));
     }
     inst.line = line_no;
-    desc.instances.push_back(std::move(inst));
   }
   return desc;
 }

@@ -14,6 +14,7 @@
 // more than once per mode need this).
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -22,6 +23,40 @@ namespace charlie::sim {
 struct PendingEvent {
   double t = 0.0;
   bool value = false;
+};
+
+/// FIFO of decided output events, shared by the channels that queue them
+/// (committed crossings, pure-delay transitions). A vector plus a head
+/// index: unlike std::deque it allocates nothing while empty, and once
+/// drained it reuses its buffer, so a netlist's worth of idle channels
+/// holds no heap memory. The consumed prefix is dropped whenever it
+/// outgrows the live tail, so a queue that never drains stays bounded.
+class PendingFifo {
+ public:
+  bool empty() const { return head_ == events_.size(); }
+  const PendingEvent& front() const { return events_[head_]; }
+
+  void push_back(PendingEvent event) {
+    if (head_ > 0 && 2 * head_ >= events_.size()) {
+      events_.erase(events_.begin(),
+                    events_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    events_.push_back(event);
+  }
+
+  void pop_front() {
+    if (++head_ == events_.size()) clear();
+  }
+
+  void clear() {
+    events_.clear();
+    head_ = 0;
+  }
+
+ private:
+  std::vector<PendingEvent> events_;
+  std::size_t head_ = 0;
 };
 
 /// Single-input channel processing an alternating boolean signal.

@@ -17,8 +17,8 @@ bool eval_gate(GateKind kind, std::span<const bool> in) {
 void Circuit::reserve(std::size_t n_nets, std::size_t n_gates) {
   net_names_.reserve(n_nets);
   net_ids_.reserve(n_nets);
-  fanout_.reserve(n_nets);
   gates_.reserve(n_gates);
+  fanin_.reserve(kMaxGateArity * n_gates);
 }
 
 Circuit::NetId Circuit::new_net(const std::string& name) {
@@ -27,7 +27,7 @@ Circuit::NetId Circuit::new_net(const std::string& name) {
     throw ConfigError("circuit: duplicate net name: " + name);
   }
   net_names_.push_back(name);
-  fanout_.emplace_back();
+  fanout_stale_ = true;
   return id;
 }
 
@@ -39,51 +39,68 @@ Circuit::NetId Circuit::add_input(const std::string& name) {
 
 Circuit::NetId Circuit::add_gate(GateKind kind,
                                  const std::string& output_name,
-                                 std::vector<NetId> inputs,
+                                 std::span<const NetId> inputs,
                                  std::unique_ptr<SisChannel> channel) {
   CHARLIE_ASSERT(channel != nullptr);
-  CHARLIE_ASSERT_MSG(inputs.size() == gate_arity(kind),
-                     "circuit: wrong gate arity");
-  const NetId out = new_net(output_name);
   Gate gate;
-  gate.kind = kind;
-  gate.inputs = std::move(inputs);
-  gate.output = out;
   gate.sis = std::move(channel);
-  const std::size_t index = gates_.size();
-  for (std::size_t port = 0; port < gate.inputs.size(); ++port) {
-    CHARLIE_ASSERT(gate.inputs[port] >= 0 &&
-                   gate.inputs[port] < static_cast<NetId>(n_nets()));
-    fanout_[gate.inputs[port]].push_back({index, static_cast<int>(port)});
-  }
-  gates_.push_back(std::move(gate));
-  return out;
+  return append_gate(kind, output_name, inputs, std::move(gate));
 }
 
 Circuit::NetId Circuit::add_mis_gate(GateKind kind,
                                      const std::string& output_name,
-                                     std::vector<NetId> inputs,
+                                     std::span<const NetId> inputs,
                                      std::unique_ptr<GateChannel> channel) {
   CHARLIE_ASSERT(channel != nullptr);
+  Gate gate;
+  gate.mis = std::move(channel);
+  return append_gate(kind, output_name, inputs, std::move(gate));
+}
+
+Circuit::NetId Circuit::append_gate(GateKind kind,
+                                    const std::string& output_name,
+                                    std::span<const NetId> inputs,
+                                    Gate gate) {
   CHARLIE_ASSERT_MSG(inputs.size() == gate_arity(kind),
                      "circuit: wrong gate arity");
-  CHARLIE_ASSERT_MSG(
-      channel->n_inputs() == static_cast<int>(gate_arity(kind)),
-      "circuit: channel arity does not match the gate kind");
-  const NetId out = new_net(output_name);
-  Gate gate;
+  CHARLIE_ASSERT_MSG(gate.mis == nullptr ||
+                         gate.mis->n_inputs() ==
+                             static_cast<int>(gate_arity(kind)),
+                     "circuit: channel arity does not match the gate kind");
   gate.kind = kind;
-  gate.inputs = std::move(inputs);
-  gate.output = out;
-  gate.mis = std::move(channel);
-  const std::size_t index = gates_.size();
-  for (std::size_t port = 0; port < gate.inputs.size(); ++port) {
-    CHARLIE_ASSERT(gate.inputs[port] >= 0 &&
-                   gate.inputs[port] < static_cast<NetId>(n_nets()));
-    fanout_[gate.inputs[port]].push_back({index, static_cast<int>(port)});
+  gate.output = new_net(output_name);
+  for (const NetId net : inputs) {
+    CHARLIE_ASSERT(net >= 0 && net < static_cast<NetId>(n_nets()));
   }
+  gate.fanin_begin = static_cast<std::uint32_t>(fanin_.size());
+  gate.arity = static_cast<std::uint8_t>(inputs.size());
+  fanin_.insert(fanin_.end(), inputs.begin(), inputs.end());
   gates_.push_back(std::move(gate));
-  return out;
+  return gates_.back().output;
+}
+
+void Circuit::compile_fanout() {
+  if (!fanout_stale_) return;
+  // Counting sort of the fan-in array by net: walking gates in order and
+  // ports in order fills each net's range in exactly that order.
+  fanout_begin_.assign(n_nets() + 1, 0);
+  for (const NetId net : fanin_) {
+    ++fanout_begin_[static_cast<std::size_t>(net) + 1];
+  }
+  for (std::size_t n = 0; n < n_nets(); ++n) {
+    fanout_begin_[n + 1] += fanout_begin_[n];
+  }
+  fanout_.resize(fanin_.size());
+  std::vector<std::uint32_t> cursor(fanout_begin_.begin(),
+                                    fanout_begin_.end() - 1);
+  for (std::size_t g = 0; g < gates_.size(); ++g) {
+    const std::span<const NetId> inputs = fanin(gates_[g]);
+    for (std::size_t port = 0; port < inputs.size(); ++port) {
+      fanout_[cursor[static_cast<std::size_t>(inputs[port])]++] = {
+          static_cast<std::uint32_t>(g), static_cast<std::uint32_t>(port)};
+    }
+  }
+  fanout_stale_ = false;
 }
 
 Circuit::NetId Circuit::find_net(const std::string& name) const {

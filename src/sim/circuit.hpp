@@ -16,6 +16,8 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
@@ -92,15 +94,29 @@ class Circuit {
   /// Add a gate: zero-time boolean `kind` + SIS delay channel at the
   /// output. Returns the output net.
   NetId add_gate(GateKind kind, const std::string& output_name,
-                 std::vector<NetId> inputs,
+                 std::span<const NetId> inputs,
                  std::unique_ptr<SisChannel> channel);
+  NetId add_gate(GateKind kind, const std::string& output_name,
+                 std::initializer_list<NetId> inputs,
+                 std::unique_ptr<SisChannel> channel) {
+    return add_gate(kind, output_name,
+                    std::span<const NetId>(inputs.begin(), inputs.size()),
+                    std::move(channel));
+  }
 
   /// Add a gate carrying a native multi-input channel (MIS-aware); the
   /// channel arity must match the gate kind (e.g. a 3-input
   /// HybridGateChannel on kNor3/kNand3).
   NetId add_mis_gate(GateKind kind, const std::string& output_name,
-                     std::vector<NetId> inputs,
+                     std::span<const NetId> inputs,
                      std::unique_ptr<GateChannel> channel);
+  NetId add_mis_gate(GateKind kind, const std::string& output_name,
+                     std::initializer_list<NetId> inputs,
+                     std::unique_ptr<GateChannel> channel) {
+    return add_mis_gate(kind, output_name,
+                        std::span<const NetId>(inputs.begin(), inputs.size()),
+                        std::move(channel));
+  }
 
   /// Size the net and gate tables up front (a builder that knows the final
   /// counts avoids rehashing the name map while it appends).
@@ -189,27 +205,53 @@ class Circuit {
 
  private:
   friend class SimSession;
+  // Compiled layout: a gate holds no heap state of its own. Its input nets
+  // are fanin_[fanin_begin, fanin_begin + arity); the channel is the only
+  // per-gate allocation.
   struct Gate {
     GateKind kind = GateKind::kBuf;
-    std::vector<NetId> inputs;
     NetId output = -1;
+    std::uint32_t fanin_begin = 0;
+    std::uint8_t arity = 0;
+    // Simulation state (fixed arity <= kMaxGateArity):
+    std::array<bool, kMaxGateArity> in_values{};
+    bool zero_time_value = false;  // boolean gate output (pre-channel)
     // Exactly one of the two channels is set.
     std::unique_ptr<SisChannel> sis;
     std::unique_ptr<GateChannel> mis;
-    // Simulation state (fixed arity <= kMaxGateArity, no heap-allocated
-    // bitfield):
-    std::array<bool, kMaxGateArity> in_values{};
-    bool zero_time_value = false;  // boolean gate output (pre-channel)
+  };
+  // One fan-out edge: input `port` of gate `gate` reads the net.
+  struct FanoutEdge {
+    std::uint32_t gate = 0;
+    std::uint32_t port = 0;
   };
 
   NetId new_net(const std::string& name);
+  NetId append_gate(GateKind kind, const std::string& output_name,
+                    std::span<const NetId> inputs, Gate gate);
+  /// Build the fan-out CSR if the structure changed since the last build.
+  /// Sessions call this at construction, so a gate added after a
+  /// simulation is live in the next one.
+  void compile_fanout();
+  std::span<const NetId> fanin(const Gate& gate) const {
+    return {fanin_.data() + gate.fanin_begin, gate.arity};
+  }
+  std::span<const FanoutEdge> fanout(std::size_t net) const {
+    return {fanout_.data() + fanout_begin_[net],
+            fanout_.data() + fanout_begin_[net + 1]};
+  }
 
   std::vector<std::string> net_names_;
   std::unordered_map<std::string, NetId> net_ids_;
   std::vector<NetId> primary_inputs_;
   std::vector<Gate> gates_;
-  std::vector<std::vector<std::pair<std::size_t, int>>> fanout_;
-  // fanout_[net] = list of (gate index, port)
+  std::vector<NetId> fanin_;  // every gate's input nets, gate order
+  // Fan-out CSR: net n's readers are fanout_[fanout_begin_[n],
+  // fanout_begin_[n + 1]), in gate order then port order -- the order the
+  // gates were added in, which fixes reschedule order within an event.
+  std::vector<std::uint32_t> fanout_begin_;
+  std::vector<FanoutEdge> fanout_;
+  bool fanout_stale_ = true;
 };
 
 }  // namespace charlie::sim

@@ -1,6 +1,7 @@
 #include "sim/circuit_builder.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 #include <vector>
 
@@ -223,24 +224,25 @@ Circuit::NetId CircuitBuilder::emit_element(
     const NetlistTopology& topo, std::size_t e,
     const std::vector<Circuit::NetId>& local) const {
   const std::span<const int> fanin = topo.inputs_of(e);
-  std::vector<Circuit::NetId> inputs;
-  inputs.reserve(fanin.size());
-  for (const int net : fanin) {
-    inputs.push_back(local[static_cast<std::size_t>(net)]);
+  CHARLIE_ASSERT(fanin.size() <= kMaxGateArity);
+  std::array<Circuit::NetId, kMaxGateArity> buffer{};
+  for (std::size_t p = 0; p < fanin.size(); ++p) {
+    buffer[p] = local[static_cast<std::size_t>(fanin[p])];
   }
+  const std::span<const Circuit::NetId> inputs(buffer.data(), fanin.size());
   if (is_wire(desc, e)) {
     const auto& wire = wire_of(desc, e);
-    return circuit.add_gate(GateKind::kBuf, wire.output, std::move(inputs),
+    return circuit.add_gate(GateKind::kBuf, wire.output, inputs,
                             std::make_unique<WireChannel>(
                                 wire_tables_for(wire)));
   }
   const auto& inst = desc.instances[e];
   const cell::CellSpec& spec = *topo.specs[e];
   if (spec.hybrid) {
-    return circuit.add_mis_gate(spec.kind, inst.output, std::move(inputs),
+    return circuit.add_mis_gate(spec.kind, inst.output, inputs,
                                 spec.make_mis_channel());
   }
-  return circuit.add_gate(spec.kind, inst.output, std::move(inputs),
+  return circuit.add_gate(spec.kind, inst.output, inputs,
                           spec.make_sis_channel());
 }
 

@@ -15,8 +15,6 @@
 // simply never occurs and the pending event is withdrawn.
 #pragma once
 
-#include <deque>
-
 #include "sim/channel.hpp"
 
 namespace charlie::sim {
@@ -60,7 +58,7 @@ class ExpChannel final : public SisChannel {
   bool output_ = false;
   // Crossings predating the effective time of the latest input are decided
   // and non-cancellable; the live crossing of the current segment is not.
-  std::deque<PendingEvent> committed_;
+  PendingFifo committed_;
   std::optional<PendingEvent> live_;
 };
 

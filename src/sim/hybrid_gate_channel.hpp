@@ -21,7 +21,6 @@
 // plus a Newton crossing solve.
 #pragma once
 
-#include <deque>
 #include <memory>
 
 #include "core/gate_mode_tables.hpp"
@@ -86,7 +85,7 @@ class HybridGateChannel : public GateChannel {
   // Crossings that precede the effective time of the latest input are
   // physically decided and can no longer be cancelled; the live crossing
   // of the current mode can. See on_input.
-  std::deque<PendingEvent> committed_;
+  PendingFifo committed_;
   std::optional<PendingEvent> live_;
 };
 

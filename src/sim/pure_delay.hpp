@@ -4,8 +4,6 @@
 // unfaithful for glitch propagation (paper Section I).
 #pragma once
 
-#include <deque>
-
 #include "sim/channel.hpp"
 
 namespace charlie::sim {
@@ -23,7 +21,7 @@ class PureDelayChannel final : public SisChannel {
  private:
   double delay_;
   bool initial_output_ = false;
-  std::deque<PendingEvent> queue_;  // FIFO of not-yet-fired transitions
+  PendingFifo queue_;  // FIFO of not-yet-fired transitions
 };
 
 }  // namespace charlie::sim

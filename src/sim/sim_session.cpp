@@ -39,6 +39,7 @@ void SimSession::initialize(
     const std::vector<waveform::DigitalTrace>& stimuli) {
   Circuit& c = *circuit_;
   const std::size_t n_nets = c.n_nets();
+  c.compile_fanout();
 
   // --- steady-state initialization (topological settle) -------------------
   // Window convention (see circuit.hpp): value_at(t_begin) already includes
@@ -53,9 +54,10 @@ void SimSession::initialize(
   // settles an acyclic circuit (two passes as a fixpoint safety net).
   for (int pass = 0; pass < 2; ++pass) {
     for (auto& gate : c.gates_) {
-      for (std::size_t p = 0; p < gate.inputs.size(); ++p) {
+      const std::span<const Circuit::NetId> inputs = c.fanin(gate);
+      for (std::size_t p = 0; p < inputs.size(); ++p) {
         gate.in_values[p] =
-            net_value_[static_cast<std::size_t>(gate.inputs[p])] != 0;
+            net_value_[static_cast<std::size_t>(inputs[p])] != 0;
       }
       gate.zero_time_value = eval_gate(gate.kind, gate.in_values[0],
                                        gate.in_values[1], gate.in_values[2]);
@@ -63,14 +65,14 @@ void SimSession::initialize(
           gate.zero_time_value ? 1 : 0;
     }
   }
+  std::vector<bool> mis_values;  // one scratch buffer for every MIS gate
   for (auto& gate : c.gates_) {
     if (gate.sis) {
       gate.sis->initialize(t_begin_, gate.zero_time_value);
     } else {
-      gate.mis->initialize(
-          t_begin_,
-          std::vector<bool>(gate.in_values.begin(),
-                            gate.in_values.begin() + gate.inputs.size()));
+      mis_values.assign(gate.in_values.begin(),
+                        gate.in_values.begin() + gate.arity);
+      gate.mis->initialize(t_begin_, mis_values);
     }
   }
 
@@ -143,9 +145,9 @@ void SimSession::propagate_net_change(Circuit::NetId net, double t,
   if ((net_value_[net_index] != 0) == value) return;  // defensive
   net_value_[net_index] = value ? 1 : 0;
   result_.traces[net_index].append_transition(t);
-  for (const auto& [gate_index, port] : c.fanout_[net_index]) {
+  for (const auto [gate_index, port] : c.fanout(net_index)) {
     Circuit::Gate& gate = c.gates_[gate_index];
-    gate.in_values[static_cast<std::size_t>(port)] = value;
+    gate.in_values[port] = value;
     if (gate.sis) {
       const bool nv = eval_gate(gate.kind, gate.in_values[0],
                                 gate.in_values[1], gate.in_values[2]);
@@ -154,7 +156,7 @@ void SimSession::propagate_net_change(Circuit::NetId net, double t,
         gate.sis->on_input(t, nv);
       }
     } else {
-      gate.mis->on_input(t, port, value);
+      gate.mis->on_input(t, static_cast<int>(port), value);
     }
     reschedule(gate_index);
   }

@@ -11,8 +11,6 @@
 // involution property still holds by construction (monotone waveforms).
 #pragma once
 
-#include <deque>
-
 #include "sim/channel.hpp"
 
 namespace charlie::sim {
@@ -56,7 +54,7 @@ class SumExpChannel final : public SisChannel {
   double target_ = 0.0;
   bool segment_rising_ = false;
   bool output_ = false;
-  std::deque<PendingEvent> committed_;  // decided, non-cancellable crossings
+  PendingFifo committed_;  // decided, non-cancellable crossings
   std::optional<PendingEvent> live_;
 };
 

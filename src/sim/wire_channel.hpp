@@ -28,7 +28,6 @@
 // solve the gate channels use (sim/two_exp_crossing.hpp).
 #pragma once
 
-#include <deque>
 #include <memory>
 
 #include "sim/channel.hpp"
@@ -81,7 +80,7 @@ class WireChannel final : public SisChannel {
   // Crossings before the latest input are physically decided and can no
   // longer be cancelled; the live crossing of the current drive state can.
   // Same commitment semantics as HybridGateChannel::on_input.
-  std::deque<PendingEvent> committed_;
+  PendingFifo committed_;
   std::optional<PendingEvent> live_;
 };
 

@@ -8,56 +8,99 @@
 
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
+#include "util/text.hpp"
 
 namespace charlie::util {
 
 namespace {
-
-std::string trimmed(const std::string& text) {
-  const auto begin = text.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return {};
-  const auto end = text.find_last_not_of(" \t\r\n");
-  return text.substr(begin, end - begin + 1);
-}
 
 [[noreturn]] void malformed(const std::string& context,
                             const std::string& text, const char* why) {
   throw ConfigError(context + ": " + why + ": \"" + text + "\"");
 }
 
+// Error reasons of one numeric field type.
+struct FieldReasons {
+  const char* empty;
+  const char* malformed;
+  const char* range;
+};
+constexpr FieldReasons kNumberReasons{"empty numeric field", "malformed number",
+                                      "number out of range"};
+constexpr FieldReasons kIntegerReasons{
+    "empty integer field", "malformed integer", "integer out of range"};
+
+// Strict whole-field parse by `parse` (strtod/strtol); returns nullptr on
+// success, else the reason it failed. strtod/strtol need a NUL-terminated
+// string but fields may be views into larger buffers: the trimmed field
+// is copied to the stack (or, past 63 characters, to the heap) first.
+template <typename Parse>
+const char* scan_field(std::string_view text, const FieldReasons& reasons,
+                       Parse&& parse) {
+  const std::string_view field = trim_ascii(text);
+  if (field.empty()) return reasons.empty;
+  char small[64];
+  std::string large;
+  const char* begin = small;
+  if (field.size() < sizeof(small)) {
+    field.copy(small, field.size());
+    small[field.size()] = '\0';
+  } else {
+    large.assign(field);
+    begin = large.c_str();
+  }
+  errno = 0;
+  char* end = nullptr;
+  parse(begin, &end);
+  // strtod/strtol happily stop at the first non-numeric character; a
+  // partial parse means trailing garbage ("1.5abc") or malformed text
+  // ("1.2.3").
+  if (end != begin + field.size()) return reasons.malformed;
+  if (errno == ERANGE) return reasons.range;
+  return nullptr;
+}
+
+const char* scan_double(std::string_view text, double& value) {
+  const char* why = scan_field(text, kNumberReasons,
+                               [&](const char* s, char** end) {
+                                 value = std::strtod(s, end);
+                               });
+  // strtod also consumes the literal tokens "nan"/"inf"/"infinity", which
+  // are not numbers in any data this library writes or reads.
+  if (why == nullptr && !std::isfinite(value)) why = "non-finite number";
+  return why;
+}
+
+const char* scan_long(std::string_view text, long& value) {
+  return scan_field(text, kIntegerReasons, [&](const char* s, char** end) {
+    value = std::strtol(s, end, 10);
+  });
+}
+
 }  // namespace
 
 double parse_double_field(const std::string& text,
                           const std::string& context) {
-  const std::string field = trimmed(text);
-  if (field.empty()) malformed(context, text, "empty numeric field");
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(field.c_str(), &end);
-  if (end != field.c_str() + field.size()) {
-    // strtod happily stops at the first non-numeric character; a partial
-    // parse means trailing garbage ("1.5abc") or malformed text ("1.2.3").
-    malformed(context, text, "malformed number");
-  }
-  if (errno == ERANGE) malformed(context, text, "number out of range");
-  if (!std::isfinite(value)) {
-    // strtod also consumes the literal tokens "nan"/"inf"/"infinity",
-    // which are not numbers in any data this library writes or reads.
-    malformed(context, text, "non-finite number");
-  }
+  double value = 0.0;
+  if (const char* why = scan_double(text, value)) malformed(context, text, why);
   return value;
 }
 
 long parse_long_field(const std::string& text, const std::string& context) {
-  const std::string field = trimmed(text);
-  if (field.empty()) malformed(context, text, "empty integer field");
-  errno = 0;
-  char* end = nullptr;
-  const long value = std::strtol(field.c_str(), &end, 10);
-  if (end != field.c_str() + field.size()) {
-    malformed(context, text, "malformed integer");
-  }
-  if (errno == ERANGE) malformed(context, text, "integer out of range");
+  long value = 0;
+  if (const char* why = scan_long(text, value)) malformed(context, text, why);
+  return value;
+}
+
+std::optional<double> try_parse_double_field(std::string_view text) {
+  double value = 0.0;
+  if (scan_double(text, value) != nullptr) return std::nullopt;
+  return value;
+}
+
+std::optional<long> try_parse_long_field(std::string_view text) {
+  long value = 0;
+  if (scan_long(text, value) != nullptr) return std::nullopt;
   return value;
 }
 
@@ -123,12 +166,12 @@ CsvData read_numeric_csv(const std::string& path) {
     throw ConfigError(path + ": missing CSV header");
   }
   for (const std::string& name : split(line)) {
-    data.columns.push_back(trimmed(name));
+    data.columns.emplace_back(trim_ascii(name));
   }
   long line_no = 1;
   while (std::getline(in, line)) {
     ++line_no;
-    if (trimmed(line).empty()) continue;
+    if (trim_ascii(line).empty()) continue;
     const auto fields = split(line);
     if (fields.size() != data.columns.size()) {
       throw ConfigError(path + ":" + std::to_string(line_no) +

@@ -4,7 +4,9 @@
 #pragma once
 
 #include <fstream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace charlie::util {
@@ -18,6 +20,12 @@ double parse_double_field(const std::string& text, const std::string& context);
 
 /// Strict whole-field parse of a base-10 integer (same rules).
 long parse_long_field(const std::string& text, const std::string& context);
+
+/// Non-throwing forms of the two parses above, for callers that build the
+/// error context only on failure: the same value where parse_*_field
+/// returns, nullopt where it throws.
+std::optional<double> try_parse_double_field(std::string_view text);
+std::optional<long> try_parse_long_field(std::string_view text);
 
 /// Writes rows of doubles with a header line. Files land wherever the caller
 /// points them (benches use ./bench_out). Throws ConfigError if the file

@@ -19,11 +19,20 @@ std::string to_lower_ascii(std::string s) {
   return s;
 }
 
-std::string trim_ascii(const std::string& text) {
+std::string_view trim_ascii(std::string_view text) {
   const auto begin = text.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return {};
+  if (begin == std::string_view::npos) return {};
   const auto end = text.find_last_not_of(" \t\r\n");
   return text.substr(begin, end - begin + 1);
+}
+
+bool iequals_ascii(std::string_view a, std::string_view b) {
+  const auto fold = [](char c) {
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+  };
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [&](char x, char y) { return fold(x) == fold(y); });
 }
 
 }  // namespace charlie::util

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 namespace charlie::util {
 
@@ -12,7 +13,10 @@ std::string to_upper_ascii(std::string s);
 /// Copy of `s` with ASCII letters lower-cased (locale-independent).
 std::string to_lower_ascii(std::string s);
 
-/// Copy of `text` with leading/trailing spaces, tabs, CR, and LF removed.
-std::string trim_ascii(const std::string& text);
+/// View of `text` with leading/trailing spaces, tabs, CR, and LF removed.
+std::string_view trim_ascii(std::string_view text);
+
+/// ASCII case-insensitive equality (locale-independent).
+bool iequals_ascii(std::string_view a, std::string_view b);
 
 }  // namespace charlie::util

@@ -5,8 +5,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "cell/netlist.hpp"
+#include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 
@@ -250,6 +253,93 @@ TEST(NetlistParser, TruncatedFileReadIsADiagnosedSyntaxError) {
     EXPECT_EQ(std::string(e.what()).find(path + ":"), 0u) << e.what();
   }
   std::remove(path.c_str());
+}
+
+// The tokenizer edge cases of the fuzz seed corpus (tests/fuzz/netlist),
+// pinned here so the corpus replay is not their only check: each edge_*
+// seed must normalize to the given canonical text, and each err_* seed
+// must fail with exactly the given message.
+std::string fuzz_seed(const std::string& name) {
+  return util::read_text_file(std::string(CHARLIE_SOURCE_DIR) +
+                              "/tests/fuzz/netlist/" + name);
+}
+
+TEST(NetlistParser, FuzzEdgeSeedsNormalize) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"edge_crlf.net",
+       "input(a, b)\noutput(y)\nNAND2(n1, a, b)\nINV(y, n1)\n"},
+      {"edge_comments_mid_statement.net",
+       "input(a, b)\noutput(y, z)\nNOR2(n1, a, b)\nNAND2(y, n1, a)\n"
+       "INV(z, y)\n"},
+      {"edge_tabs.net",
+       "input(a, b)\noutput(yw)\nNOR2(y, a, b)\n"
+       "WIRE(yw, y, r=12000, c=2.5e-15, sections=8, "
+       "vdd=0.80000000000000004)\n"},
+      {"edge_semicolon_tail.net",
+       "input(a, b)\noutput(y, yw)\nNAND2(y, a, b)\n"
+       "WIRE(yw, y, r=1000, c=1.0000000000000001e-15, sections=8, "
+       "vdd=0.80000000000000004)\n"},
+      {"edge_mixed_case_keywords.net",
+       "input(a, b)\noutput(yw)\nNAND2(y, a, b)\n"
+       "WIRE(yw, y, r=1000, c=1.0000000000000001e-15, sections=4, "
+       "rdrive=10, cload=9.9999999999999998e-17, "
+       "tdrive=4.9999999999999997e-12, vdd=0.80000000000000004)\n"},
+  };
+  for (const auto& [name, canonical] : cases) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(cell::write_netlist(cell::parse_netlist(fuzz_seed(name))),
+              canonical);
+  }
+}
+
+TEST(NetlistParser, FuzzErrorSeedsKeepTheirMessages) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"err_empty_cell.net", "2: instance needs an output net: INV(...)"},
+      {"err_no_open_paren.net",
+       "2: expected `cell(out, in, ...)`, got \"INV y a\""},
+      {"err_bad_cell_name.net", "2: bad cell name \"1INV\""},
+      {"err_missing_close_paren.net", "2: missing `)`"},
+      {"err_trailing_text.net", "2: trailing text after `)`: \"extra\""},
+      {"err_bad_parameter_name.net", "2: bad parameter name \"1r\""},
+      {"err_parameter_needs_value.net", "2: parameter \"r\" needs a value"},
+      {"err_bad_net_name.net", "2: bad net name \"a-b\""},
+      {"err_assignment_as_net.net",
+       "2: expected a net name, got parameter assignment \"a=1\""},
+      {"err_wire_needs_two_nets.net",
+       "2: WIRE needs two nets: WIRE(out, in, r=.., c=..)"},
+      {"err_wire_net_after_params.net",
+       "2: WIRE takes key=value parameters after the two nets, got net "
+       "name \"b\""},
+      {"err_wire_param_twice.net", "2: WIRE parameter \"r\" given twice"},
+      {"err_wire_unknown_param.net",
+       "2: unknown WIRE parameter \"length\" (expected r, c, sections, "
+       "rdrive, cload, tdrive, vdd)"},
+      {"err_wire_malformed_number.net",
+       "2: WIRE parameter r: malformed number: \"1k\""},
+      {"err_wire_number_out_of_range.net",
+       "2: WIRE parameter r: number out of range: \"1e999\""},
+      {"err_wire_non_finite_number.net",
+       "2: WIRE parameter c: non-finite number: \"inf\""},
+      {"err_wire_malformed_integer.net",
+       "2: WIRE parameter sections: malformed integer: \"8.5\""},
+      {"err_wire_integer_out_of_range.net",
+       "2: WIRE parameter sections: integer out of range: "
+       "\"99999999999999999999\""},
+      {"err_wire_missing_c.net", "2: WIRE requires both r= and c= parameters"},
+      {"err_input_empty.net", "1: input() needs at least one net name"},
+      {"err_input_twice.net", "2: primary input \"b\" declared twice"},
+      {"err_output_empty.net", "2: output() needs at least one net name"},
+      {"err_output_twice.net", "3: primary output \"a\" declared twice"},
+  };
+  for (const auto& [name, message] : cases) {
+    SCOPED_TRACE(name);
+    try {
+      cell::parse_netlist(fuzz_seed(name), "seed");
+      ADD_FAILURE() << "expected ConfigError";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("seed:") + message);
+    }
+  }
 }
 
 }  // namespace

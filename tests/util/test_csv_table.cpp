@@ -11,6 +11,15 @@
 namespace charlie::util {
 namespace {
 
+// Each test writes under its own directory, named after the test, and
+// removes only that one: ctest runs tests as parallel processes in one
+// working directory.
+std::string test_dir() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return std::string("test_out_") + info->test_suite_name() + "_" +
+         info->name();
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream os;
@@ -19,7 +28,7 @@ std::string slurp(const std::string& path) {
 }
 
 TEST(CsvWriter, WritesHeaderAndRows) {
-  const std::string path = "test_out/csv_basic.csv";
+  const std::string path = test_dir() + "/csv_basic.csv";
   {
     CsvWriter csv(path, {"delta_ps", "delay_ps"});
     csv.row({-60.0, 37.9});
@@ -28,21 +37,21 @@ TEST(CsvWriter, WritesHeaderAndRows) {
   const std::string content = slurp(path);
   EXPECT_NE(content.find("delta_ps,delay_ps\n"), std::string::npos);
   EXPECT_NE(content.find("-60,37.9"), std::string::npos);
-  std::filesystem::remove_all("test_out");
+  std::filesystem::remove_all(test_dir());
 }
 
 TEST(CsvWriter, CreatesParentDirectories) {
-  const std::string path = "test_out/nested/deeper/file.csv";
+  const std::string path = test_dir() + "/nested/deeper/file.csv";
   { CsvWriter csv(path, {"x"}); }
   EXPECT_TRUE(std::filesystem::exists(path));
-  std::filesystem::remove_all("test_out");
+  std::filesystem::remove_all(test_dir());
 }
 
 TEST(CsvWriter, RejectsMismatchedRowWidth) {
-  CsvWriter csv("test_out/width.csv", {"a", "b"});
+  CsvWriter csv(test_dir() + "/width.csv", {"a", "b"});
   EXPECT_THROW(csv.row({1.0}), AssertionError);
   EXPECT_THROW(csv.row_text({"1", "2", "3"}), AssertionError);
-  std::filesystem::remove_all("test_out");
+  std::filesystem::remove_all(test_dir());
 }
 
 TEST(CsvParse, StrictDoubleFieldAcceptsValidNumbers) {
@@ -77,8 +86,31 @@ TEST(CsvParse, StrictLongField) {
   EXPECT_THROW(parse_long_field("99999999999999999999", "ctx"), ConfigError);
 }
 
+TEST(CsvParse, TryParseAgreesWithTheStrictParse) {
+  // The non-throwing forms return the strict parse's value exactly where
+  // it returns, including fields past the 63-character stack buffer.
+  const std::string long_number = "1." + std::string(80, '0') + "1";
+  for (const std::string& text :
+       {std::string("1.5"), std::string(" -3e-12\t"), std::string("0x10"),
+        std::string("1.5abc"), std::string(""), std::string("nan"),
+        std::string("1e99999"), std::string("12 34"), long_number,
+        long_number + "x"}) {
+    SCOPED_TRACE(text);
+    const auto value = try_parse_double_field(text);
+    if (value.has_value()) {
+      EXPECT_EQ(*value, parse_double_field(text, "ctx"));
+    } else {
+      EXPECT_THROW(parse_double_field(text, "ctx"), ConfigError);
+    }
+  }
+  EXPECT_EQ(try_parse_double_field(long_number), 1.0);
+  EXPECT_EQ(try_parse_long_field(" 8 "), 8);
+  EXPECT_FALSE(try_parse_long_field("1.5").has_value());
+  EXPECT_FALSE(try_parse_long_field("99999999999999999999").has_value());
+}
+
 TEST(CsvReader, RoundTripsWriterOutput) {
-  const std::string path = "test_out/csv_roundtrip.csv";
+  const std::string path = test_dir() + "/csv_roundtrip.csv";
   {
     CsvWriter csv(path, {"delta_ps", "delay_ps"});
     csv.row({-60.0, 37.9});
@@ -92,12 +124,12 @@ TEST(CsvReader, RoundTripsWriterOutput) {
   ASSERT_EQ(data.rows.size(), 3u);
   EXPECT_DOUBLE_EQ(data.rows[0][0], -60.0);
   EXPECT_DOUBLE_EQ(data.rows[2][1], 55.25);
-  std::filesystem::remove_all("test_out");
+  std::filesystem::remove_all(test_dir());
 }
 
 TEST(CsvReader, RejectsMalformedFilesWithClearErrors) {
-  ensure_directory("test_out");
-  const std::string path = "test_out/csv_bad.csv";
+  ensure_directory(test_dir());
+  const std::string path = test_dir() + "/csv_bad.csv";
   auto write = [&](const std::string& content) {
     std::ofstream out(path);
     out << content;
@@ -111,8 +143,9 @@ TEST(CsvReader, RejectsMalformedFilesWithClearErrors) {
   write("a,b\n1,2\n\n3,4\n");  // blank lines are tolerated
   const CsvData data = read_numeric_csv(path);
   EXPECT_EQ(data.rows.size(), 2u);
-  EXPECT_THROW(read_numeric_csv("test_out/does_not_exist.csv"), ConfigError);
-  std::filesystem::remove_all("test_out");
+  EXPECT_THROW(read_numeric_csv(test_dir() + "/does_not_exist.csv"),
+               ConfigError);
+  std::filesystem::remove_all(test_dir());
 }
 
 TEST(TextTable, AlignsColumns) {
