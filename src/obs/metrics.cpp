@@ -102,11 +102,15 @@ void MetricsRegistry::add(std::string_view name, long long delta) {
 }
 
 void MetricsRegistry::observe(std::string_view name, double value) {
+  histogram_for(name).add(value);
+}
+
+LogHistogram& MetricsRegistry::histogram_for(std::string_view name) {
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.emplace(std::string(name), LogHistogram{}).first;
   }
-  it->second.add(value);
+  return it->second;
 }
 
 long long MetricsRegistry::counter(std::string_view name) const {

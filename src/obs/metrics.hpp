@@ -87,6 +87,10 @@ class MetricsRegistry {
   /// Histogram by name; nullptr for a name never observed.
   const LogHistogram* histogram(std::string_view name) const;
 
+  /// Histogram by name, created empty first: a loop observing many samples
+  /// hoists the lookup out (add() on it is observe() on the name).
+  LogHistogram& histogram_for(std::string_view name);
+
   /// Fold `other` in (exact for counters and bin counts; moments fold in
   /// call order -- merge in a fixed order for bit-identical aggregates).
   void merge(const MetricsRegistry& other);

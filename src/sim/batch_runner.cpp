@@ -23,17 +23,33 @@ void Histogram::add(double x) {
   CHARLIE_ASSERT_MSG(!bins_.empty(), "histogram: add() without a range");
   ++count_;
   sum_ += x;
-  if (x < lo_) {
+  const std::size_t s = slot(x);
+  if (s < bins_.size()) {
+    ++bins_[s];
+  } else if (s == bins_.size()) {
     ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
+  } else {
     ++overflow_;
-    return;
   }
+}
+
+std::size_t Histogram::slot(double x) const {
+  if (x < lo_) return bins_.size();
+  if (x >= hi_) return bins_.size() + 1;
   const auto bin = static_cast<std::size_t>(
       static_cast<double>(bins_.size()) * (x - lo_) / (hi_ - lo_));
-  ++bins_[std::min(bin, bins_.size() - 1)];
+  return std::min(bin, bins_.size() - 1);
+}
+
+void Histogram::merge_tally(std::span<const std::uint64_t> tally) {
+  CHARLIE_ASSERT(tally.size() == bins_.size() + 2);
+  for (std::size_t i = 0; i < bins_.size(); ++i) {
+    bins_[i] += tally[i];
+    count_ += tally[i];
+  }
+  underflow_ += tally[bins_.size()];
+  overflow_ += tally[bins_.size() + 1];
+  count_ += tally[bins_.size()] + tally[bins_.size() + 1];
 }
 
 void Histogram::merge(const Histogram& other) {
@@ -80,97 +96,62 @@ BatchRunner::BatchRunner(CircuitFactory factory,
 
 namespace {
 
-struct NetStats {
-  long long transitions = 0;
-  Histogram pulse_width;
-  Histogram response_delay;
+// A run's largest response delay over the observed nets and the index of
+// the net it occurred on; -1 for both without a response sample.
+struct CriticalDelay {
+  double delay = -1.0;
+  int net = -1;
 };
 
-struct RunStats {
-  long n_events = 0;
-  long max_heap_depth = 0;
-  RunDiagnostics diagnostics;
-  std::vector<NetStats> nets;  // parallel to the observed-net list;
-                               // empty when the run did not finish kOk
-  // Largest response delay of the run across all observed nets, and the
-  // index of the net it occurred on; -1 when the run produced no response
-  // sample (or did not finish kOk).
-  double critical_delay = -1.0;
-  int critical_net = -1;
-};
-
-RunStats run_one(Circuit& circuit, const std::vector<Circuit::NetId>& outputs,
-                 Circuit::SimResult& arena, std::vector<double>& stim_times,
-                 const BatchConfig& config, const RunSpec& spec,
-                 ProcessBinder* binder, double pulse_hi, double response_hi) {
-  // Retarget the worker's clone to this run's process sample before any
-  // channel state is initialized (simulate_into reinitializes all of it).
-  if (binder != nullptr) binder->bind(spec.point);
-  util::Rng rng(spec.stimulus_seed);
-  const auto stimuli =
-      waveform::generate_traces(config.trace, circuit.n_inputs(), rng);
-  double t_last = config.trace.t_start;
-  for (const auto& trace : stimuli) {
-    if (!trace.empty()) t_last = std::max(t_last, trace.transitions().back());
-  }
-  const double t_end = t_last + config.t_settle;
-  // Arena-reusing simulation: the worker's trace storage is reset in place,
-  // not reallocated (bit-identical to Circuit::simulate). The budgeted
-  // entry point never throws through the engine -- a failure or budget
-  // trip comes back as a structured non-kOk result.
-  circuit.simulate_into(stimuli, 0.0, t_end, config.budget, arena);
-  const Circuit::SimResult& result = arena;
-
-  RunStats stats;
-  stats.n_events = result.n_events;
-  stats.max_heap_depth = result.max_heap_depth;
-  stats.diagnostics = result.diagnostics;
-  // A terminated run contributes its diagnostics and event count but no
-  // histogram samples: partial traces would skew the distributions
-  // silently.
-  if (!result.ok()) return stats;
-
-  // Stimulus transitions, merged and sorted once per run; every observed
-  // net's response delays sweep the same sequence.
-  stim_times.clear();
-  for (const auto& trace : stimuli) {
-    stim_times.insert(stim_times.end(), trace.transitions().begin(),
-                      trace.transitions().end());
-  }
-  std::sort(stim_times.begin(), stim_times.end());
-
-  stats.nets.reserve(outputs.size());
+// Accounts one kOk run's observed nets. Per net: the transition count and
+// the pulse-width and response-delay sums go to the run's slots, and the
+// histogram counts are staged in `tally` ([pulse_width, response_delay]
+// per net, Histogram::slot() layout).
+CriticalDelay account_run(const Circuit::SimResult& sim,
+                          const std::vector<Circuit::NetId>& outputs,
+                          const std::vector<StimulusEvent>& stream,
+                          const Histogram& pulse_shape,
+                          const Histogram& response_shape,
+                          std::span<std::uint64_t> tally,
+                          std::span<long long> transitions,
+                          std::span<double> pulse_sum,
+                          std::span<double> response_sum) {
+  const std::size_t n_slots = pulse_shape.bins().size() + 2;
+  std::fill(tally.begin(), tally.end(), 0);
+  CriticalDelay critical;
   for (std::size_t n = 0; n < outputs.size(); ++n) {
-    NetStats net;
-    net.pulse_width = Histogram(0.0, pulse_hi, config.histogram_bins);
-    net.response_delay = Histogram(0.0, response_hi, config.histogram_bins);
-
-    const auto& out = result.trace(outputs[n]);
-    net.transitions = static_cast<long long>(out.n_transitions());
-    for (std::size_t k = 1; k < out.n_transitions(); ++k) {
-      net.pulse_width.add(out.transitions()[k] - out.transitions()[k - 1]);
+    const std::vector<double>& ts = sim.trace(outputs[n]).transitions();
+    std::uint64_t* pulse_tally = tally.data() + 2 * n * n_slots;
+    std::uint64_t* response_tally = pulse_tally + n_slots;
+    double pulse = 0.0;
+    for (std::size_t k = 1; k < ts.size(); ++k) {
+      const double width = ts[k] - ts[k - 1];
+      ++pulse_tally[pulse_shape.slot(width)];
+      pulse += width;
     }
-
     // Response delay: output transition time minus the latest stimulus
     // transition at or before it. Both sequences are time-sorted, so one
     // merged sweep suffices.
+    double response = 0.0;
     std::size_t si = 0;
-    for (std::size_t k = 0; k < out.n_transitions(); ++k) {
-      const double t = out.transitions()[k];
-      while (si + 1 < stim_times.size() && stim_times[si + 1] <= t) ++si;
-      if (si < stim_times.size() && stim_times[si] <= t) {
-        const double delay = t - stim_times[si];
-        net.response_delay.add(delay);
+    for (const double t : ts) {
+      while (si + 1 < stream.size() && stream[si + 1].t <= t) ++si;
+      if (si < stream.size() && stream[si].t <= t) {
+        const double delay = t - stream[si].t;
+        ++response_tally[response_shape.slot(delay)];
+        response += delay;
         // Strict > ties the run's critical delay to the lowest net index.
-        if (delay > stats.critical_delay) {
-          stats.critical_delay = delay;
-          stats.critical_net = static_cast<int>(n);
+        if (delay > critical.delay) {
+          critical.delay = delay;
+          critical.net = static_cast<int>(n);
         }
       }
     }
-    stats.nets.push_back(std::move(net));
+    transitions[n] = static_cast<long long>(ts.size());
+    pulse_sum[n] = pulse;
+    response_sum[n] = response;
   }
-  return stats;
+  return critical;
 }
 
 }  // namespace
@@ -217,112 +198,176 @@ void BatchRunner::ensure_workers() {
 BatchResult BatchRunner::run() {
   ensure_workers();
   const std::size_t n_workers = pool_->n_threads();
+  const std::size_t n_runs = config_.n_runs;
+  const std::size_t n_nets = output_nets_.size();
 
-  const double pulse_hi = config_.pulse_width_hi > 0.0
-                              ? config_.pulse_width_hi
-                              : 4.0 * config_.trace.mu;
-  const double response_hi = config_.response_delay_hi > 0.0
-                                 ? config_.response_delay_hi
-                                 : config_.trace.mu;
+  const Histogram pulse_shape(0.0,
+                              config_.pulse_width_hi > 0.0
+                                  ? config_.pulse_width_hi
+                                  : 4.0 * config_.trace.mu,
+                              config_.histogram_bins);
+  const Histogram response_shape(0.0,
+                                 config_.response_delay_hi > 0.0
+                                     ? config_.response_delay_hi
+                                     : config_.trace.mu,
+                                 config_.histogram_bins);
+  const std::size_t n_slots = config_.histogram_bins + 2;  // per histogram
+  for (Worker& w : workers_) {
+    w.tally.assign(2 * n_nets * n_slots, 0);
+    w.run_tally.resize(w.tally.size());
+  }
 
   // Per-run results indexed by run (not worker): the reduction below walks
   // them in run order, which is what makes the aggregate independent of
-  // which worker executed which run.
-  std::vector<RunStats> per_run(config_.n_runs);
+  // which worker executed which run. Per-net arrays are [run * n_nets + n].
+  BatchResult result;
+  result.n_runs = n_runs;
+  result.n_threads = n_workers;
+  result.events_per_run.assign(n_runs, 0);
+  result.diagnostics.assign(n_runs, RunDiagnostics{});
+  result.critical_delays.assign(n_runs, -1.0);
+  std::vector<long> max_heap_depth(n_runs, 0);
+  // Observed net of the run's critical delay; -1 without a response sample.
+  std::vector<int> critical_net(n_runs, -1);
+  std::vector<long long> transitions(n_runs * n_nets, 0);
+  std::vector<double> pulse_sum(n_runs * n_nets, 0.0);
+  std::vector<double> response_sum(n_runs * n_nets, 0.0);
   // Exactly one run matches capture_run, so the slot is written by at most
   // one worker (no synchronization needed beyond the pool's batch barrier).
   std::vector<BatchResult::CapturedTrace> captured;
-  pool_->parallel_for(
-      config_.n_runs, [&](std::size_t worker, std::size_t run) {
-        Worker& w = workers_[worker];
-        obs::ScopedSpan obs_span("batch.run", "run",
-                                 static_cast<long long>(run), "events", 0);
-        // Fresh per-run fault tallies: an armed plan's fire index depends
-        // only on this run's own content, not on which worker executes it
-        // or how runs interleave (thread-count-invariant fault placement).
-        if (util::FaultInjector::armed()) {
-          util::FaultInjector::reset_local_hits();
+  pool_->parallel_for(n_runs, [&](std::size_t worker, std::size_t run) {
+    Worker& w = workers_[worker];
+    obs::ScopedSpan obs_span("batch.run", "run", static_cast<long long>(run),
+                             "events", 0);
+    // Fresh per-run fault tallies: an armed plan's fire index depends
+    // only on this run's own content, not on which worker executes it
+    // or how runs interleave (thread-count-invariant fault placement).
+    if (util::FaultInjector::armed()) {
+      util::FaultInjector::reset_local_hits();
+    }
+    // The run's content derives from its global index through
+    // counter-based streams: splitting or re-basing a batch via
+    // first_run_index reproduces per-run content exactly.
+    const std::uint64_t index = config_.first_run_index + run;
+    RunSpec spec;
+    spec.stimulus_seed = util::CounterRng(config_.base_seed, index).next_u64();
+    if (config_.variation.enabled()) {
+      spec.point = config_.variation.sample(config_.base_seed, index);
+    }
+    try {
+      // Retarget the worker's clone to this run's process sample before
+      // any channel state is initialized (simulate_into reinitializes all
+      // of it).
+      if (w.binder != nullptr) w.binder->bind(spec.point);
+      util::Rng rng(spec.stimulus_seed);
+      waveform::generate_traces_into(config_.trace, w.circuit->n_inputs(),
+                                     rng, w.arena.stimuli);
+      double t_last = config_.trace.t_start;
+      for (const auto& trace : w.arena.stimuli) {
+        if (!trace.empty()) {
+          t_last = std::max(t_last, trace.transitions().back());
         }
-        // The run's content derives from its global index through
-        // counter-based streams: splitting or re-basing a batch via
-        // first_run_index reproduces per-run content exactly.
-        const std::uint64_t index = config_.first_run_index + run;
-        RunSpec spec;
-        spec.stimulus_seed =
-            util::CounterRng(config_.base_seed, index).next_u64();
-        if (config_.variation.enabled()) {
-          spec.point = config_.variation.sample(config_.base_seed, index);
-        }
-        try {
-          per_run[run] = run_one(*w.circuit, w.outputs, w.arena, w.stim_times,
-                                 config_, spec, w.binder.get(), pulse_hi,
-                                 response_hi);
-          obs_span.set_value1(per_run[run].n_events);
-          if (config_.capture_run == static_cast<long>(run)) {
-            // Copy out of the arena before this worker's next run resets it.
-            for (std::size_t i = 0; i < w.circuit->n_inputs(); ++i) {
-              const Circuit::NetId id = w.circuit->input_net(i);
-              captured.push_back({w.circuit->net_name(id), w.arena.trace(id)});
-            }
-            for (const Circuit::NetId id : w.outputs) {
-              captured.push_back({w.circuit->net_name(id), w.arena.trace(id)});
-            }
-          }
-        } catch (const std::exception& e) {
-          // Isolation backstop for failures outside the engine's no-throw
-          // boundary (stimulus generation, accounting): only this run
-          // fails; the worker and its arena stay usable.
-          per_run[run] = RunStats{};
-          per_run[run].diagnostics.status = RunStatus::kFailed;
-          per_run[run].diagnostics.error = e.what();
-        }
-      });
+      }
+      // The budgeted entry point never throws through the engine -- a
+      // failure or budget trip comes back as a structured non-kOk result.
+      w.circuit->simulate_into(w.arena, 0.0, t_last + config_.t_settle,
+                               config_.budget);
+      const Circuit::SimResult& sim = w.arena.result;
+      result.events_per_run[run] = sim.n_events;
+      max_heap_depth[run] = sim.max_heap_depth;
+      result.diagnostics[run] = sim.diagnostics;
+      obs_span.set_value1(sim.n_events);
 
-  // Sequential reduction in run order: bit-identical for any thread count.
-  BatchResult result;
-  result.n_runs = config_.n_runs;
-  result.n_threads = n_workers;
-  result.events_per_run.reserve(config_.n_runs);
-  result.nets.reserve(output_nets_.size());
-  for (const auto& name : output_nets_) {
+      // A terminated run contributes its diagnostics and event count but
+      // no histogram samples: partial traces would skew the distributions
+      // silently.
+      CriticalDelay critical;
+      if (sim.ok()) {
+        const std::size_t row = run * n_nets;
+        critical = account_run(
+            sim, w.outputs, w.arena.stream, pulse_shape, response_shape,
+            w.run_tally, {transitions.data() + row, n_nets},
+            {pulse_sum.data() + row, n_nets},
+            {response_sum.data() + row, n_nets});
+      }
+      if (config_.capture_run == static_cast<long>(run)) {
+        // Copy out of the arena before this worker's next run resets it.
+        for (std::size_t i = 0; i < w.circuit->n_inputs(); ++i) {
+          const Circuit::NetId id = w.circuit->input_net(i);
+          captured.push_back({w.circuit->net_name(id), sim.trace(id)});
+        }
+        for (const Circuit::NetId id : w.outputs) {
+          captured.push_back({w.circuit->net_name(id), sim.trace(id)});
+        }
+      }
+      // Commit last: a run whose accounting threw contributes nothing.
+      if (sim.ok()) {
+        for (std::size_t i = 0; i < w.tally.size(); ++i) {
+          w.tally[i] += w.run_tally[i];
+        }
+        result.critical_delays[run] = critical.delay;
+        critical_net[run] = critical.net;
+      }
+    } catch (const std::exception& e) {
+      // Isolation backstop for failures outside the engine's no-throw
+      // boundary (stimulus generation, accounting): only this run
+      // fails; the worker and its arena stay usable.
+      result.events_per_run[run] = 0;
+      max_heap_depth[run] = 0;
+      result.diagnostics[run] = RunDiagnostics{};
+      result.diagnostics[run].status = RunStatus::kFailed;
+      result.diagnostics[run].error = e.what();
+    }
+  });
+
+  // Reduction. Integer counts add in any order; the floating-point sums and
+  // the statistics sample fold in run order: bit-identical for any thread
+  // count.
+  result.nets.reserve(n_nets);
+  for (std::size_t n = 0; n < n_nets; ++n) {
     NetAggregate agg;
-    agg.net = name;
-    agg.pulse_width = Histogram(0.0, pulse_hi, config_.histogram_bins);
-    agg.response_delay = Histogram(0.0, response_hi, config_.histogram_bins);
+    agg.net = output_nets_[n];
+    agg.pulse_width = pulse_shape;
+    agg.response_delay = response_shape;
+    for (const Worker& w : workers_) {
+      const std::span<const std::uint64_t> tally(w.tally);
+      agg.pulse_width.merge_tally(tally.subspan(2 * n * n_slots, n_slots));
+      agg.response_delay.merge_tally(
+          tally.subspan((2 * n + 1) * n_slots, n_slots));
+    }
     result.nets.push_back(std::move(agg));
   }
-  result.diagnostics.reserve(config_.n_runs);
-  result.critical_delays.reserve(config_.n_runs);
-  result.stats.criticality.assign(result.nets.size(), 0);
+  result.stats.criticality.assign(n_nets, 0);
   std::vector<double> sample;  // critical delays of contributing runs
-  sample.reserve(config_.n_runs);
-  for (RunStats& stats : per_run) {
-    result.total_events += stats.n_events;
-    result.events_per_run.push_back(stats.n_events);
-    // Observability aggregate, folded in run order like everything else.
-    obs::absorb_run_counters(result.metrics, stats.diagnostics.counters);
-    result.metrics.observe("sim.events_per_run",
-                           static_cast<double>(stats.n_events));
-    result.metrics.observe("sim.max_heap_depth",
-                           static_cast<double>(stats.max_heap_depth));
-    result.diagnostics.push_back(std::move(stats.diagnostics));
-    if (result.diagnostics.back().status != RunStatus::kOk) {
+  sample.reserve(n_runs);
+  util::RunCounters counters;
+  obs::LogHistogram& events_hist =
+      result.metrics.histogram_for("sim.events_per_run");
+  obs::LogHistogram& depth_hist =
+      result.metrics.histogram_for("sim.max_heap_depth");
+  for (std::size_t run = 0; run < n_runs; ++run) {
+    const long n_events = result.events_per_run[run];
+    result.total_events += n_events;
+    counters += result.diagnostics[run].counters;
+    events_hist.add(static_cast<double>(n_events));
+    depth_hist.add(static_cast<double>(max_heap_depth[run]));
+    if (result.diagnostics[run].status != RunStatus::kOk) {
       ++result.n_failed;
-      result.critical_delays.push_back(-1.0);
       continue;  // no histogram/statistics contribution from a failed run
     }
-    result.critical_delays.push_back(stats.critical_delay);
-    if (stats.critical_delay >= 0.0) {
-      sample.push_back(stats.critical_delay);
-      ++result.stats.criticality[static_cast<std::size_t>(
-          stats.critical_net)];
+    if (result.critical_delays[run] >= 0.0) {
+      sample.push_back(result.critical_delays[run]);
+      ++result.stats.criticality[static_cast<std::size_t>(critical_net[run])];
     }
-    for (std::size_t n = 0; n < result.nets.size(); ++n) {
-      result.nets[n].transitions += stats.nets[n].transitions;
-      result.nets[n].pulse_width.merge(stats.nets[n].pulse_width);
-      result.nets[n].response_delay.merge(stats.nets[n].response_delay);
+    for (std::size_t n = 0; n < n_nets; ++n) {
+      NetAggregate& agg = result.nets[n];
+      agg.transitions += transitions[run * n_nets + n];
+      agg.pulse_width.merge_sum(pulse_sum[run * n_nets + n]);
+      agg.response_delay.merge_sum(response_sum[run * n_nets + n]);
     }
   }
+  // Guard/fallback telemetry of every run, failed ones included.
+  obs::absorb_run_counters(result.metrics, counters);
   result.metrics.add("batch.runs", static_cast<long long>(result.n_runs));
   result.metrics.add("batch.runs_failed",
                      static_cast<long long>(result.n_failed));

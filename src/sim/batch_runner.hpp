@@ -3,20 +3,24 @@
 // Runs N independent event-driven simulations of the same circuit over
 // randomly generated stimuli (one deterministic RNG stream per seed) and
 // aggregates throughput counters and delay/metric histograms. Work is
-// spread across a worker pool with one circuit clone per worker; results
-// are stored per run index and reduced sequentially, so the aggregate is
-// bit-identical no matter how many threads execute it.
+// spread across a worker pool with one circuit clone per worker. Per-run
+// results are flat run-indexed arrays (event counts, per-net transition
+// counts and pulse/response sums) plus worker-local integer histogram
+// tallies; the reduction folds the floating-point sums in run order and
+// adds the integers in any order, so the aggregate is bit-identical no
+// matter how many threads execute it.
 //
-// The pool, the per-worker circuit clones, and the per-worker simulation
-// arenas (trace storage, stimulus scratch) are built once -- on the first
-// run() -- and reused by every later run() of the same BatchRunner, so
-// repeated batches pay neither thread spin-up nor clone construction nor
-// trace reallocation. Each worker's state lives on its own cache lines.
+// The pool, the per-worker circuit clones, and the per-worker run arenas
+// (stimuli, merged stimulus stream, trace storage, session scratch) are
+// built once -- on the first run() -- and reused by every later run() of
+// the same BatchRunner, so a run in steady state allocates nothing. Each
+// worker's state lives on its own cache lines.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +30,7 @@
 #include "sim/circuit.hpp"
 #include "sim/net_criticality.hpp"
 #include "sim/process_variation.hpp"
+#include "sim/sim_session.hpp"
 #include "util/thread_pool.hpp"
 #include "waveform/generator.hpp"
 
@@ -40,6 +45,14 @@ class Histogram {
 
   void add(double x);
   void merge(const Histogram& other);
+
+  /// Where add(x) counts `x` in a flat tally of n_bins + 2 entries laid out
+  /// [bins..., underflow, overflow]. A reduction that tallies counts apart
+  /// from the sum folds them back with merge_tally() and merge_sum(): the
+  /// pair equals merge() of a histogram fed the same values.
+  std::size_t slot(double x) const;
+  void merge_tally(std::span<const std::uint64_t> tally);
+  void merge_sum(double sum) { sum_ += sum; }
 
   double lo() const { return lo_; }
   double hi() const { return hi_; }
@@ -213,8 +226,12 @@ class BatchRunner {
   struct alignas(64) Worker {
     std::unique_ptr<Circuit> circuit;
     std::vector<Circuit::NetId> outputs;  // observed nets, resolved per clone
-    Circuit::SimResult arena;             // reused trace storage
-    std::vector<double> stim_times;       // reused merged-stimulus scratch
+    RunArena arena;                       // every buffer of one run
+    // Histogram counts per observed net, [pulse_width, response_delay] in
+    // Histogram::slot() layout: `run_tally` stages the current run,
+    // `tally` sums this run() call's runs that finished kOk.
+    std::vector<std::uint64_t> run_tally;
+    std::vector<std::uint64_t> tally;
     // Per-worker process retargeting (variation batches only). The grids
     // behind it are shared across workers; the worker-local table copies
     // are re-filled in place per run, so rebinding never allocates.

@@ -130,36 +130,36 @@ Circuit::SimResult Circuit::simulate(
   return session.take_result();
 }
 
-void Circuit::simulate_into(const std::vector<waveform::DigitalTrace>& stimuli,
-                            double t_begin, double t_end, SimResult& out) {
-  CHARLIE_ASSERT(t_end > t_begin);
-  SimSession session(*this, stimuli, t_begin, std::move(out));
-  session.advance(t_end);
-  out = session.take_result();
-}
+namespace {
 
-Circuit::SimResult Circuit::simulate(
-    const std::vector<waveform::DigitalTrace>& stimuli, double t_begin,
-    double t_end, const RunBudget& budget) {
-  SimResult out;
-  simulate_into(stimuli, t_begin, t_end, budget, out);
-  return out;
-}
-
-void Circuit::simulate_into(const std::vector<waveform::DigitalTrace>& stimuli,
-                            double t_begin, double t_end,
-                            const RunBudget& budget, SimResult& out) {
-  CHARLIE_ASSERT(t_end > t_begin);
-  SimSession session(*this, stimuli, t_begin, budget, std::move(out));
-  // The budgeted entry point is the no-throw boundary: a failure anywhere
-  // in the run (solver non-convergence, assertion, injected fault) becomes
-  // a structured kFailed result with the traces produced so far.
+// The budgeted entry points are the no-throw boundary: a failure anywhere
+// in the run (solver non-convergence, assertion, injected fault) becomes a
+// structured kFailed result with the traces produced so far.
+void advance_guarded(SimSession& session, double t_end) {
   try {
     session.advance(t_end);
   } catch (const std::exception& e) {
     session.mark_failed(e.what());
   }
-  out = session.take_result();
+}
+
+}  // namespace
+
+Circuit::SimResult Circuit::simulate(
+    const std::vector<waveform::DigitalTrace>& stimuli, double t_begin,
+    double t_end, const RunBudget& budget) {
+  CHARLIE_ASSERT(t_end > t_begin);
+  SimSession session(*this, stimuli, t_begin, budget);
+  advance_guarded(session, t_end);
+  return session.take_result();
+}
+
+void Circuit::simulate_into(RunArena& arena, double t_begin, double t_end,
+                            const RunBudget& budget) {
+  CHARLIE_ASSERT(t_end > t_begin);
+  SimSession session(*this, std::move(arena), t_begin, budget);
+  advance_guarded(session, t_end);
+  arena = session.take_arena();
 }
 
 }  // namespace charlie::sim

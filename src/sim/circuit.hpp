@@ -31,6 +31,8 @@
 
 namespace charlie::sim {
 
+struct RunArena;  // sim/sim_session.hpp
+
 enum class GateKind {
   kBuf,
   kInv,
@@ -159,13 +161,6 @@ class Circuit {
   SimResult simulate(const std::vector<waveform::DigitalTrace>& stimuli,
                      double t_begin, double t_end);
 
-  /// Arena-reusing variant: identical semantics and bit-identical output,
-  /// but `out`'s per-net trace storage is reset and reused instead of
-  /// reallocated -- the batch runner calls this with one arena per worker
-  /// so repeated runs stop paying the trace-vector allocations.
-  void simulate_into(const std::vector<waveform::DigitalTrace>& stimuli,
-                     double t_begin, double t_end, SimResult& out);
-
   /// Budgeted variant: the run is supervised by `budget` and NEVER throws
   /// through the engine -- a tripped budget/deadline/cancellation or a
   /// captured exception (ConvergenceError, AssertionError, injected fault)
@@ -176,10 +171,14 @@ class Circuit {
   SimResult simulate(const std::vector<waveform::DigitalTrace>& stimuli,
                      double t_begin, double t_end, const RunBudget& budget);
 
-  /// Budgeted arena variant (same semantics as the pair above combined).
-  void simulate_into(const std::vector<waveform::DigitalTrace>& stimuli,
-                     double t_begin, double t_end, const RunBudget& budget,
-                     SimResult& out);
+  /// Budgeted run over a worker-owned RunArena (the batch runner keeps one
+  /// per worker): the stimuli are arena.stimuli, the result lands in
+  /// arena.result, and arena.stream holds the merged stimulus stream
+  /// afterwards. Every buffer of the run is the arena's, so a repeated run
+  /// of the same shape allocates nothing. Same no-throw contract as the
+  /// budgeted simulate().
+  void simulate_into(RunArena& arena, double t_begin, double t_end,
+                     const RunBudget& budget);
 
   /// Number of declared primary inputs; input_net(i) is the NetId of the
   /// i-th declared input (stimulus order).

@@ -19,6 +19,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/circuit.hpp"
@@ -26,6 +28,49 @@
 #include "waveform/digital_trace.hpp"
 
 namespace charlie::sim {
+
+/// One primary-input transition of a merged stimulus stream.
+struct StimulusEvent {
+  double t = 0.0;
+  std::uint32_t input = 0;  // declared primary-input index
+  bool value = false;       // input level after the transition
+};
+
+/// Merge per-input traces into one stream ordered by (time, input index):
+/// exactly the order a std::stable_sort by time of the input-major
+/// concatenation gives, since one input's times strictly increase. A
+/// counting sort into n time buckets (`buckets` is its reused scratch)
+/// leaves only the few events that share a bucket to sort, so spread-out
+/// stimuli merge in O(n).
+void merge_stimuli(const std::vector<waveform::DigitalTrace>& stimuli,
+                   std::vector<StimulusEvent>& stream,
+                   std::vector<std::uint32_t>& buckets);
+
+/// All storage of one simulation run, owned by a worker and reused across
+/// runs: after the first run of a given shape, a run allocates nothing.
+/// A session takes the arena over for its lifetime and hands it back.
+struct RunArena {
+  /// One trace per primary input (declaration order); the caller fills it.
+  std::vector<waveform::DigitalTrace> stimuli;
+  /// The session's merged stimulus stream (merge_stimuli order), including
+  /// transitions at or before t_begin, which settle the circuit instead of
+  /// becoming events, and any inject()ed transitions.
+  std::vector<StimulusEvent> stream;
+  Circuit::SimResult result;
+  // Session scratch; contents carry no meaning between runs.
+  std::vector<std::uint8_t> net_value;  // byte per net, no vector<bool>
+                                        // bit gymnastics on the hot path
+  std::vector<bool> mis_values;         // GateChannel::initialize argument
+  std::vector<std::uint32_t> buckets;   // merge_stimuli counting sort
+  std::vector<StimulusEvent> injected;  // pending inject()s
+  EventHeap heap;
+  // Gates whose channel holds a pending event beyond the current horizon;
+  // re-armed (in insertion order, preserving schedule order) on the next
+  // advance. `rearm` is the list being re-armed while `deferred` refills.
+  std::vector<std::size_t> deferred;
+  std::vector<std::size_t> rearm;
+  std::vector<std::uint8_t> is_deferred;
+};
 
 class SimSession {
  public:
@@ -36,20 +81,20 @@ class SimSession {
              const std::vector<waveform::DigitalTrace>& stimuli,
              double t_begin);
 
-  /// Arena variant: reuses `arena`'s trace storage (reset, not
-  /// reallocated). take_result() hands the storage back.
-  SimSession(Circuit& circuit,
-             const std::vector<waveform::DigitalTrace>& stimuli,
-             double t_begin, Circuit::SimResult&& arena);
-
   /// Budgeted variant: advance() polls `budget` and terminates the session
   /// early with the corresponding RunStatus instead of running to the
   /// horizon. After a trip the session is finished: further advance()
   /// calls are no-ops and the result carries the partial traces.
   SimSession(Circuit& circuit,
              const std::vector<waveform::DigitalTrace>& stimuli,
-             double t_begin, const RunBudget& budget,
-             Circuit::SimResult&& arena = Circuit::SimResult{});
+             double t_begin, const RunBudget& budget);
+
+  /// Run-arena variant: the stimuli are arena.stimuli, and every buffer the
+  /// session needs -- result traces, stimulus stream, net values, event
+  /// heap, deferred lists -- is the arena's, reused in place.
+  /// take_arena() hands it all back.
+  SimSession(Circuit& circuit, RunArena&& arena, double t_begin,
+             const RunBudget& budget);
 
   SimSession(const SimSession&) = delete;
   SimSession& operator=(const SimSession&) = delete;
@@ -59,7 +104,7 @@ class SimSession {
 
   /// Current value of a net (settled value right after construction).
   bool value(Circuit::NetId net) const {
-    return net_value_[static_cast<std::size_t>(net)] != 0;
+    return arena_.net_value[static_cast<std::size_t>(net)] != 0;
   }
 
   /// Queue an externally produced transition on the `input_index`-th
@@ -92,13 +137,11 @@ class SimSession {
   /// Move the result out; the session must not be advanced afterwards.
   Circuit::SimResult take_result();
 
- private:
-  struct StimulusEvent {
-    double t = 0.0;
-    Circuit::NetId net = -1;
-    bool value = false;
-  };
+  /// Move the whole arena out (result stamped as by result()); the session
+  /// must not be advanced afterwards.
+  RunArena take_arena();
 
+ private:
   void initialize(const std::vector<waveform::DigitalTrace>& stimuli);
   void reschedule(std::size_t gate_index);
   void propagate_net_change(Circuit::NetId net, double t, bool value);
@@ -111,19 +154,9 @@ class SimSession {
   RunStatus status_ = RunStatus::kOk;
   std::string error_;             // captured failure text (kFailed)
   double t_processed_ = 0.0;      // time of the last processed event
-  Circuit::SimResult result_;
-  std::vector<std::uint8_t> net_value_;  // hot path: byte per net, no
-                                         // vector<bool> bit gymnastics
-  std::vector<StimulusEvent> stim_events_;
-  std::size_t stim_index_ = 0;
-  std::vector<StimulusEvent> injected_;  // pending inject()s, merged by advance
-  EventHeap heap_;
+  RunArena arena_;
+  std::size_t stim_index_ = 0;    // next unprocessed arena_.stream event
   long seq_ = 0;
-  // Gates whose channel holds a pending event beyond the current horizon;
-  // re-armed (in insertion order, preserving schedule order) on the next
-  // advance.
-  std::vector<std::size_t> deferred_;
-  std::vector<std::uint8_t> is_deferred_;
   long n_stimulus_events_ = 0;
   long n_gate_events_ = 0;
   long max_heap_depth_ = 0;

@@ -18,39 +18,43 @@ std::string TraceConfig::label() const {
 std::vector<DigitalTrace> generate_traces(const TraceConfig& config,
                                           std::size_t n_inputs,
                                           util::Rng& rng) {
+  std::vector<DigitalTrace> traces;
+  generate_traces_into(config, n_inputs, rng, traces);
+  return traces;
+}
+
+void generate_traces_into(const TraceConfig& config, std::size_t n_inputs,
+                          util::Rng& rng, std::vector<DigitalTrace>& out) {
   CHARLIE_ASSERT(n_inputs >= 1);
   CHARLIE_ASSERT(config.n_transitions >= 1);
   CHARLIE_ASSERT(config.min_width > 0.0);
 
-  std::vector<DigitalTrace> traces;
-  traces.reserve(n_inputs);
+  out.resize(n_inputs);
+  for (DigitalTrace& trace : out) {
+    trace.reset(false);
+    trace.reserve(config.n_transitions);
+  }
 
   if (!config.global_mode) {
-    for (std::size_t i = 0; i < n_inputs; ++i) {
-      DigitalTrace trace(false, {});
+    for (DigitalTrace& trace : out) {
       double t = config.t_start;
       for (std::size_t k = 0; k < config.n_transitions; ++k) {
         t += rng.normal_above(config.mu, config.sigma, config.min_width);
         trace.append_transition(t);
       }
-      traces.push_back(std::move(trace));
     }
-    return traces;
+    return;
   }
 
   // GLOBAL: one master schedule; each transition lands on one input, so
   // different inputs rarely switch close together.
-  for (std::size_t i = 0; i < n_inputs; ++i) {
-    traces.emplace_back(false, std::vector<double>{});
-  }
   double t = config.t_start;
   for (std::size_t k = 0; k < config.n_transitions; ++k) {
     t += rng.normal_above(config.mu, config.sigma, config.min_width);
     const std::size_t input = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(n_inputs) - 1));
-    traces[input].append_transition(t);
+    out[input].append_transition(t);
   }
-  return traces;
 }
 
 std::vector<TraceConfig> paper_fig7_configs() {

@@ -41,6 +41,14 @@ std::vector<DigitalTrace> generate_traces(const TraceConfig& config,
                                           std::size_t n_inputs,
                                           util::Rng& rng);
 
+/// generate_traces into caller-owned storage: `out` is resized to
+/// `n_inputs` and every trace is refilled in place with the same draws in
+/// the same order. Each trace keeps room for `n_transitions` (the most any
+/// input can receive in either mode), so a repeated call with the same
+/// shape reuses every trace's storage and allocates nothing.
+void generate_traces_into(const TraceConfig& config, std::size_t n_inputs,
+                          util::Rng& rng, std::vector<DigitalTrace>& out);
+
 /// The four waveform configurations evaluated in the paper's Fig 7.
 std::vector<TraceConfig> paper_fig7_configs();
 

@@ -6,17 +6,20 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
 #include "core/mode_tables.hpp"
 #include "core/process_point.hpp"
+#include "batch_result_equal.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/circuit_builder.hpp"
 #include "sim/hybrid_gate_channel.hpp"
 #include "sim/process_variation.hpp"
 #include "util/error.hpp"
+#include "util/fault_injection.hpp"
 
 namespace charlie::sim {
 namespace {
@@ -315,24 +318,93 @@ TEST(BatchStats, C432VariationBatchIsBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(one.stats.n_samples, 0u);
   EXPECT_GT(one.stats.stddev, 0.0);  // variation really spreads the delays
   for (std::size_t n_threads : {2u, 4u}) {
-    const auto many = run_with(n_threads);
-    EXPECT_EQ(many.events_per_run, one.events_per_run);
-    EXPECT_EQ(many.critical_delays, one.critical_delays);
-    EXPECT_EQ(many.stats.n_samples, one.stats.n_samples);
-    EXPECT_EQ(many.stats.mean, one.stats.mean);
-    EXPECT_EQ(many.stats.stddev, one.stats.stddev);
-    EXPECT_EQ(many.stats.min, one.stats.min);
-    EXPECT_EQ(many.stats.max, one.stats.max);
-    EXPECT_EQ(many.stats.quantiles, one.stats.quantiles);
-    EXPECT_EQ(many.stats.n_meeting_deadline, one.stats.n_meeting_deadline);
-    EXPECT_EQ(many.stats.yield, one.stats.yield);
-    EXPECT_EQ(many.stats.criticality, one.stats.criticality);
-    ASSERT_EQ(many.nets.size(), one.nets.size());
-    for (std::size_t n = 0; n < one.nets.size(); ++n) {
-      EXPECT_EQ(many.nets[n].response_delay.sum(),
-                one.nets[n].response_delay.sum());
-    }
+    EXPECT_TRUE(testing::batch_results_equal(run_with(n_threads), one))
+        << n_threads << " threads";
   }
+}
+
+TEST(BatchStats, WholeResultIsBitIdenticalWithTrippedAndFailedRuns) {
+  util::FaultInjector::Scope scope;
+  const auto library = std::make_shared<const cell::CellLibrary>(
+      cell::CellLibrary::reference());
+  const auto desc = cell::read_netlist_file(
+      CHARLIE_SOURCE_DIR "/examples/netlists/c432.net");
+  const sim::CircuitBuilder builder(library);
+
+  BatchConfig config = stat_config();
+  config.n_runs = 48;
+  config.trace.n_transitions = 16;
+  config.stat_deadline = 1e-9;
+  config.capture_run = 5;
+  auto run_with = [&](const BatchConfig& c, std::size_t n_threads) {
+    BatchConfig threaded = c;
+    threaded.n_threads = n_threads;
+    BatchRunner runner([&] { return builder.build(desc); }, desc.outputs,
+                       threaded);
+    return runner.run();
+  };
+
+  // An event budget at the upper quartile of run lengths trips a quarter
+  // of the runs.
+  std::vector<long> events = run_with(config, 4).events_per_run;
+  std::sort(events.begin(), events.end());
+  config.budget.max_events = events[3 * events.size() / 4];
+  // A crossing-solve fault at a hit count some of the other runs reach.
+  auto count = [](const BatchResult& r, RunStatus status) {
+    return std::count_if(
+        r.diagnostics.begin(), r.diagnostics.end(),
+        [&](const RunDiagnostics& d) { return d.status == status; });
+  };
+  bool mixed = false;
+  std::string tried;
+  for (long fire_after = 20; fire_after <= 400 && !mixed; fire_after += 20) {
+    util::FaultInjector::arm(
+        "crossing.solve",
+        {util::FaultInjector::Action::kConvergenceError, fire_after, 1});
+    const auto probe = run_with(config, 4);
+    const auto n_ok = count(probe, RunStatus::kOk);
+    const auto n_failed = count(probe, RunStatus::kFailed);
+    const auto n_tripped = count(probe, RunStatus::kBudgetExhausted);
+    mixed = n_ok > 0 && n_failed > 0 && n_tripped > 0;
+    tried += " " + std::to_string(fire_after) + ":" + std::to_string(n_ok) +
+             "/" + std::to_string(n_failed) + "/" + std::to_string(n_tripped);
+  }
+  ASSERT_TRUE(mixed) << "no fault threshold mixes ok, failed and tripped "
+                        "runs (threshold:ok/failed/tripped):"
+                     << tried;
+
+  const auto one = run_with(config, 1);
+  for (std::size_t n_threads : {2u, 4u}) {
+    EXPECT_TRUE(testing::batch_results_equal(run_with(config, n_threads), one))
+        << n_threads << " threads";
+  }
+
+  // Split via first_run_index: each half is thread-count invariant as a
+  // whole, reproduces its slice of the full batch run for run, and the
+  // halves' integer histogram counts add up to the full batch's.
+  std::vector<std::uint64_t> bins(one.pulse_width.bins().size(), 0);
+  std::uint64_t response_count = 0;
+  for (std::size_t half = 0; half < 2; ++half) {
+    BatchConfig part = config;
+    part.n_runs = config.n_runs / 2;
+    part.first_run_index = half * part.n_runs;
+    const auto a = run_with(part, 1);
+    EXPECT_TRUE(testing::batch_results_equal(run_with(part, 4), a))
+        << "half " << half;
+    for (std::size_t r = 0; r < part.n_runs; ++r) {
+      const std::size_t full = part.first_run_index + r;
+      EXPECT_EQ(a.events_per_run[r], one.events_per_run[full]);
+      EXPECT_EQ(a.critical_delays[r], one.critical_delays[full]);
+      EXPECT_EQ(a.diagnostics[r].status, one.diagnostics[full].status);
+      EXPECT_EQ(a.diagnostics[r].error, one.diagnostics[full].error);
+    }
+    for (std::size_t b = 0; b < bins.size(); ++b) {
+      bins[b] += a.pulse_width.bins()[b];
+    }
+    response_count += a.response_delay.count();
+  }
+  EXPECT_EQ(bins, one.pulse_width.bins());
+  EXPECT_EQ(response_count, one.response_delay.count());
 }
 
 }  // namespace

@@ -96,6 +96,61 @@ TEST(Generator, DeterministicPerSeed) {
   EXPECT_EQ(a[1].transitions(), b[1].transitions());
 }
 
+// generate_traces_into refills caller-owned storage with exactly the traces
+// generate_traces returns, whatever the storage held before, and consumes
+// the same RNG draws.
+TEST(Generator, IntoMatchesGenerateTracesForAnyPriorArena) {
+  for (const bool global : {false, true}) {
+    TraceConfig cfg;
+    cfg.global_mode = global;
+    cfg.n_transitions = 40;
+    for (const std::size_t prior_inputs : {0u, 2u, 9u}) {
+      std::vector<DigitalTrace> arena;
+      if (prior_inputs > 0) {
+        TraceConfig prior = cfg;
+        prior.n_transitions = 70;
+        util::Rng warm(99);
+        generate_traces_into(prior, prior_inputs, warm, arena);
+      }
+      util::Rng rng_a(5);
+      util::Rng rng_b(5);
+      const auto expected = generate_traces(cfg, 5, rng_a);
+      generate_traces_into(cfg, 5, rng_b, arena);
+      ASSERT_EQ(arena.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(arena[i].initial_value(), expected[i].initial_value());
+        EXPECT_EQ(arena[i].transitions(), expected[i].transitions())
+            << (global ? "GLOBAL" : "LOCAL") << " input " << i
+            << ", arena previously held " << prior_inputs << " inputs";
+      }
+      // Both streams sit at the same position afterwards.
+      EXPECT_EQ(rng_a.uniform(0.0, 1.0), rng_b.uniform(0.0, 1.0));
+    }
+  }
+}
+
+TEST(Generator, IntoReusesTraceStorageOnARepeatedShape) {
+  for (const bool global : {false, true}) {
+    TraceConfig cfg;
+    cfg.global_mode = global;
+    cfg.n_transitions = 64;
+    std::vector<DigitalTrace> arena;
+    util::Rng first(1);
+    generate_traces_into(cfg, 6, first, arena);
+    std::vector<const double*> data;
+    for (const auto& trace : arena) data.push_back(trace.transitions().data());
+    // A different seed: GLOBAL mode deals the transitions out differently,
+    // but no input can receive more than n_transitions.
+    util::Rng second(2);
+    generate_traces_into(cfg, 6, second, arena);
+    ASSERT_EQ(arena.size(), data.size());
+    for (std::size_t i = 0; i < arena.size(); ++i) {
+      EXPECT_EQ(arena[i].transitions().data(), data[i])
+          << (global ? "GLOBAL" : "LOCAL") << " input " << i;
+    }
+  }
+}
+
 TEST(Generator, PaperConfigsMatchFig7) {
   const auto configs = paper_fig7_configs();
   ASSERT_EQ(configs.size(), 4u);

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Build the ThreadSanitizer preset and run the concurrency-bearing test
 # suites under it: the worker pool (chunked atomic work claiming), the
-# Monte-Carlo batch runner (per-worker clones + shared reduction buffers),
-# and the sharded single-circuit engine (wavefront exchange buckets). Any
+# Monte-Carlo batch runner (per-worker clones, run arenas and histogram
+# tallies, flat run-indexed result arrays), the threaded variation batches
+# and process binders, and the sharded single-circuit engine (wavefront
+# exchange buckets). Any
 # data-race report aborts the offending test (-fno-sanitize-recover=all),
 # so a green run means TSan sees no races on these paths.
 #
@@ -20,4 +22,4 @@ cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" \
   --target charlie_test_util charlie_test_sim charlie_test_cell
 ctest --preset tsan -j1 \
-  -R 'ThreadPool|BatchRunner|ShardedCircuit|NetlistGen|WireTableCache' "$@"
+  -R 'ThreadPool|BatchRunner|BatchStats|ProcessBinder|ShardedCircuit|NetlistGen|WireTableCache' "$@"
