@@ -6,9 +6,11 @@
 // every worker cooperates on the same simulation, exchanging boundary
 // events, and the result is bit-identical to the monolithic engine.
 //
-// BM_BuildSharded times the elaboration that the throughput benchmark keeps
-// out of its loop; BM_ParseNetlist times the front end before it, parsing
-// the same netlist's text from memory.
+// BM_MonolithicCircuitThroughput runs the same netlist through the
+// single-threaded monolithic engine and reports ns/event. BM_BuildSharded
+// times the elaboration that the throughput benchmarks keep out of their
+// loops; BM_ParseNetlist times the front end before it, parsing the same
+// netlist's text from memory.
 //
 // Multi-threaded timing: wall clock (UseRealTime) is the scaling headline,
 // process CPU time (MeasureProcessCPUTime) exposes the parallel overhead.
@@ -99,6 +101,34 @@ BENCHMARK(BM_ShardedCircuitThroughput)
     ->Args({2, 2})
     ->Args({4, 4})
     ->MeasureProcessCPUTime()
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The same netlist and stimuli through the monolithic engine
+// (CircuitBuilder::build + Circuit::simulate, one thread): the per-event
+// cost of a 100k-gate circuit, to hold against a c432 event. Building is
+// outside the timed loop.
+void BM_MonolithicCircuitThroughput(benchmark::State& state) {
+  const auto circuit = builder().build(big_netlist());
+  const auto traces = stimuli();
+  const double t_end = end_time(traces);
+
+  long long events = 0;
+  for (auto _ : state) {
+    const auto result = circuit->simulate(traces, 0.0, t_end);
+    events += result.n_events;
+    benchmark::DoNotOptimize(result.n_events);
+  }
+  state.counters["events/s"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kIsRate);
+  // Inverted rate of events * 1e-9: nanoseconds of wall time per event.
+  state.counters["ns/event"] = benchmark::Counter(
+      static_cast<double>(events) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["gates"] =
+      benchmark::Counter(static_cast<double>(circuit->n_gates()));
+}
+BENCHMARK(BM_MonolithicCircuitThroughput)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

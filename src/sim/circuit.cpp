@@ -15,18 +15,15 @@ bool eval_gate(GateKind kind, std::span<const bool> in) {
 }
 
 void Circuit::reserve(std::size_t n_nets, std::size_t n_gates) {
-  net_names_.reserve(n_nets);
-  net_ids_.reserve(n_nets);
+  nets_.reserve(n_nets);
   gates_.reserve(n_gates);
   fanin_.reserve(kMaxGateArity * n_gates);
+  fanin_begin_.reserve(n_gates);
 }
 
 Circuit::NetId Circuit::new_net(const std::string& name) {
-  const NetId id = static_cast<NetId>(net_names_.size());
-  if (!net_ids_.try_emplace(name, id).second) {
-    throw ConfigError("circuit: duplicate net name: " + name);
-  }
-  net_names_.push_back(name);
+  const NetId id = nets_.insert(name);
+  if (id < 0) throw ConfigError("circuit: duplicate net name: " + name);
   fanout_stale_ = true;
   return id;
 }
@@ -37,14 +34,18 @@ Circuit::NetId Circuit::add_input(const std::string& name) {
   return id;
 }
 
+// The gate record borrows the channel; ownership moves to the cold array
+// only once the gate is in, so a rejected gate frees its channel.
 Circuit::NetId Circuit::add_gate(GateKind kind,
                                  const std::string& output_name,
                                  std::span<const NetId> inputs,
                                  std::unique_ptr<SisChannel> channel) {
   CHARLIE_ASSERT(channel != nullptr);
   Gate gate;
-  gate.sis = std::move(channel);
-  return append_gate(kind, output_name, inputs, std::move(gate));
+  gate.sis = channel.get();
+  const NetId output = append_gate(kind, output_name, inputs, gate);
+  sis_channels_.push_back(std::move(channel));
+  return output;
 }
 
 Circuit::NetId Circuit::add_mis_gate(GateKind kind,
@@ -53,8 +54,11 @@ Circuit::NetId Circuit::add_mis_gate(GateKind kind,
                                      std::unique_ptr<GateChannel> channel) {
   CHARLIE_ASSERT(channel != nullptr);
   Gate gate;
-  gate.mis = std::move(channel);
-  return append_gate(kind, output_name, inputs, std::move(gate));
+  gate.mis = channel.get();
+  gate.is_mis = true;
+  const NetId output = append_gate(kind, output_name, inputs, gate);
+  mis_channels_.push_back(std::move(channel));
+  return output;
 }
 
 Circuit::NetId Circuit::append_gate(GateKind kind,
@@ -63,20 +67,19 @@ Circuit::NetId Circuit::append_gate(GateKind kind,
                                     Gate gate) {
   CHARLIE_ASSERT_MSG(inputs.size() == gate_arity(kind),
                      "circuit: wrong gate arity");
-  CHARLIE_ASSERT_MSG(gate.mis == nullptr ||
-                         gate.mis->n_inputs() ==
-                             static_cast<int>(gate_arity(kind)),
+  CHARLIE_ASSERT_MSG(!gate.is_mis || gate.mis->n_inputs() ==
+                                         static_cast<int>(gate_arity(kind)),
                      "circuit: channel arity does not match the gate kind");
   gate.kind = kind;
   gate.output = new_net(output_name);
   for (const NetId net : inputs) {
     CHARLIE_ASSERT(net >= 0 && net < static_cast<NetId>(n_nets()));
   }
-  gate.fanin_begin = static_cast<std::uint32_t>(fanin_.size());
   gate.arity = static_cast<std::uint8_t>(inputs.size());
+  fanin_begin_.push_back(static_cast<std::uint32_t>(fanin_.size()));
   fanin_.insert(fanin_.end(), inputs.begin(), inputs.end());
-  gates_.push_back(std::move(gate));
-  return gates_.back().output;
+  gates_.push_back(gate);
+  return gate.output;
 }
 
 void Circuit::compile_fanout() {
@@ -94,7 +97,7 @@ void Circuit::compile_fanout() {
   std::vector<std::uint32_t> cursor(fanout_begin_.begin(),
                                     fanout_begin_.end() - 1);
   for (std::size_t g = 0; g < gates_.size(); ++g) {
-    const std::span<const NetId> inputs = fanin(gates_[g]);
+    const std::span<const NetId> inputs = fanin(g);
     for (std::size_t port = 0; port < inputs.size(); ++port) {
       fanout_[cursor[static_cast<std::size_t>(inputs[port])]++] = {
           static_cast<std::uint32_t>(g), static_cast<std::uint32_t>(port)};
@@ -104,14 +107,14 @@ void Circuit::compile_fanout() {
 }
 
 Circuit::NetId Circuit::find_net(const std::string& name) const {
-  const auto it = net_ids_.find(name);
-  if (it == net_ids_.end()) throw ConfigError("circuit: unknown net " + name);
-  return it->second;
+  const NetId id = nets_.find(name);
+  if (id < 0) throw ConfigError("circuit: unknown net " + name);
+  return id;
 }
 
 const std::string& Circuit::net_name(NetId id) const {
   CHARLIE_ASSERT(id >= 0 && id < static_cast<NetId>(n_nets()));
-  return net_names_[static_cast<std::size_t>(id)];
+  return nets_.name(id);
 }
 
 const waveform::DigitalTrace& Circuit::SimResult::trace(NetId id) const {

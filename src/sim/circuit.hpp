@@ -21,19 +21,19 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/channel.hpp"
 #include "sim/run_guard.hpp"
 #include "util/error.hpp"
+#include "util/name_index.hpp"
 #include "waveform/digital_trace.hpp"
 
 namespace charlie::sim {
 
 struct RunArena;  // sim/sim_session.hpp
 
-enum class GateKind {
+enum class GateKind : std::uint8_t {
   kBuf,
   kInv,
   kAnd2,
@@ -121,12 +121,13 @@ class Circuit {
   }
 
   /// Size the net and gate tables up front (a builder that knows the final
-  /// counts avoids rehashing the name map while it appends).
+  /// counts avoids regrowing the name index and gate arrays while it
+  /// appends).
   void reserve(std::size_t n_nets, std::size_t n_gates);
 
   NetId find_net(const std::string& name) const;
   const std::string& net_name(NetId id) const;
-  std::size_t n_nets() const { return net_names_.size(); }
+  std::size_t n_nets() const { return nets_.size(); }
   std::size_t n_gates() const { return gates_.size(); }
   std::size_t n_inputs() const { return primary_inputs_.size(); }
 
@@ -190,7 +191,7 @@ class Circuit {
   template <typename Fn>
   void for_each_mis_channel(Fn&& fn) {
     for (auto& gate : gates_) {
-      if (gate.mis != nullptr) fn(*gate.mis);
+      if (gate.is_mis) fn(*gate.mis);
     }
   }
 
@@ -198,27 +199,31 @@ class Circuit {
   template <typename Fn>
   void for_each_sis_channel(Fn&& fn) {
     for (auto& gate : gates_) {
-      if (gate.sis != nullptr) fn(*gate.sis);
+      if (!gate.is_mis) fn(*gate.sis);
     }
   }
 
  private:
   friend class SimSession;
-  // Compiled layout: a gate holds no heap state of its own. Its input nets
-  // are fanin_[fanin_begin, fanin_begin + arity); the channel is the only
-  // per-gate allocation.
+  // Compiled layout: the event loop's per-gate record is 24 bytes -- the
+  // channel it drives, its output net, kind, arity, input levels and
+  // zero-time value -- so a fan-out walk touches one dense array. What the
+  // loop never reads sits in cold arrays by gate index: the offset of the
+  // gate's input nets in fanin_ and the channel ownership.
   struct Gate {
-    GateKind kind = GateKind::kBuf;
+    union {
+      SisChannel* sis = nullptr;  // !is_mis
+      GateChannel* mis;           // is_mis
+    };
     NetId output = -1;
-    std::uint32_t fanin_begin = 0;
+    GateKind kind = GateKind::kBuf;
     std::uint8_t arity = 0;
+    bool is_mis = false;
     // Simulation state (fixed arity <= kMaxGateArity):
     std::array<bool, kMaxGateArity> in_values{};
     bool zero_time_value = false;  // boolean gate output (pre-channel)
-    // Exactly one of the two channels is set.
-    std::unique_ptr<SisChannel> sis;
-    std::unique_ptr<GateChannel> mis;
   };
+  static_assert(sizeof(Gate) <= 24, "the hot gate record must stay compact");
   // One fan-out edge: input `port` of gate `gate` reads the net.
   struct FanoutEdge {
     std::uint32_t gate = 0;
@@ -232,19 +237,23 @@ class Circuit {
   /// Sessions call this at construction, so a gate added after a
   /// simulation is live in the next one.
   void compile_fanout();
-  std::span<const NetId> fanin(const Gate& gate) const {
-    return {fanin_.data() + gate.fanin_begin, gate.arity};
+  std::span<const NetId> fanin(std::size_t g) const {
+    return {fanin_.data() + fanin_begin_[g], gates_[g].arity};
   }
   std::span<const FanoutEdge> fanout(std::size_t net) const {
     return {fanout_.data() + fanout_begin_[net],
             fanout_.data() + fanout_begin_[net + 1]};
   }
 
-  std::vector<std::string> net_names_;
-  std::unordered_map<std::string, NetId> net_ids_;
+  util::NameIndex nets_;  // net name <-> NetId
   std::vector<NetId> primary_inputs_;
   std::vector<Gate> gates_;
   std::vector<NetId> fanin_;  // every gate's input nets, gate order
+  std::vector<std::uint32_t> fanin_begin_;  // by gate: offset into fanin_
+  // Channel ownership, in gate order per channel type (cold: the event
+  // loop reaches channels through Gate's pointer).
+  std::vector<std::unique_ptr<SisChannel>> sis_channels_;
+  std::vector<std::unique_ptr<GateChannel>> mis_channels_;
   // Fan-out CSR: net n's readers are fanout_[fanout_begin_[n],
   // fanout_begin_[n + 1]), in gate order then port order -- the order the
   // gates were added in, which fixes reschedule order within an event.

@@ -60,10 +60,11 @@ NetlistTopology prepare_netlist(const cell::NetlistDesc& desc,
 
   NetlistTopology prep;
   prep.n_inputs = n_inputs;
+  // Ids are insertion order: inputs 0..I-1, then element e's output I + e.
   prep.net_ids.reserve(n_inputs + n_elems);
   for (std::size_t i = 0; i < n_inputs; ++i) {
     const std::string& name = desc.inputs[i];
-    if (!prep.net_ids.try_emplace(name, static_cast<int>(i)).second) {
+    if (prep.net_ids.insert(name) < 0) {
       throw ConfigError("circuit builder: primary input \"" + name +
                         "\" declared twice");
     }
@@ -81,7 +82,7 @@ NetlistTopology prepare_netlist(const cell::NetlistDesc& desc,
                             std::to_string(spec->arity) + " inputs, got " +
                             std::to_string(inst.inputs.size()));
     }
-    if (!prep.net_ids.try_emplace(inst.output, prep.output_net(i)).second) {
+    if (prep.net_ids.insert(inst.output) < 0) {
       build_error(inst, "net \"" + inst.output + "\" is defined twice");
     }
   }
@@ -92,16 +93,11 @@ NetlistTopology prepare_netlist(const cell::NetlistDesc& desc,
     } catch (const ConfigError& e) {
       wire_error(wire, e.what());
     }
-    if (!prep.net_ids.try_emplace(wire.output, prep.output_net(n_gates + w))
-             .second) {
+    if (prep.net_ids.insert(wire.output) < 0) {
       wire_error(wire, "net \"" + wire.output + "\" is defined twice");
     }
   }
   // Fan-in resolution doubles as the undriven-net check.
-  const auto resolve = [&](const std::string& net) {
-    const auto it = prep.net_ids.find(net);
-    return it == prep.net_ids.end() ? -1 : it->second;
-  };
   const std::string undriven =
       "\" is driven by no gate, wire, or primary input";
   prep.fanin_begin.reserve(n_elems + 1);
@@ -109,20 +105,20 @@ NetlistTopology prepare_netlist(const cell::NetlistDesc& desc,
   prep.fanin.reserve(static_cast<std::size_t>(3) * n_gates + desc.wires.size());
   for (const auto& inst : desc.instances) {
     for (const auto& input : inst.inputs) {
-      const int id = resolve(input);
+      const int id = prep.net_ids.find(input);
       if (id < 0) build_error(inst, "input net \"" + input + undriven);
       prep.fanin.push_back(id);
     }
     prep.fanin_begin.push_back(static_cast<int>(prep.fanin.size()));
   }
   for (const auto& wire : desc.wires) {
-    const int id = resolve(wire.input);
+    const int id = prep.net_ids.find(wire.input);
     if (id < 0) wire_error(wire, "input net \"" + wire.input + undriven);
     prep.fanin.push_back(id);
     prep.fanin_begin.push_back(static_cast<int>(prep.fanin.size()));
   }
   for (const auto& name : desc.outputs) {
-    if (resolve(name) < 0) {
+    if (prep.net_ids.find(name) < 0) {
       throw ConfigError("circuit builder: declared primary output \"" + name +
                         undriven);
     }

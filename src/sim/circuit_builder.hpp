@@ -37,6 +37,7 @@
 #include "cell/netlist.hpp"
 #include "sim/circuit.hpp"
 #include "sim/sharded_circuit.hpp"
+#include "util/name_index.hpp"
 #include "wire/wire_tables.hpp"
 
 namespace charlie::sim {
@@ -55,7 +56,7 @@ namespace charlie::sim {
 struct NetlistTopology {
   std::size_t n_inputs = 0;
   std::vector<const cell::CellSpec*> specs;      // per instance, netlist order
-  std::unordered_map<std::string, int> net_ids;  // net name -> net id
+  util::NameIndex net_ids;                       // net name <-> net id
   // Fan-in in CSR form: element e reads the net ids
   // fanin[fanin_begin[e] .. fanin_begin[e + 1]) in pin order.
   std::vector<int> fanin_begin;

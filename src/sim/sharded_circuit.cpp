@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <thread>
 #include <utility>
 
@@ -14,7 +15,7 @@ namespace charlie::sim {
 ShardedCircuit::ShardedCircuit(std::vector<Shard> shards,
                                std::vector<BoundaryEdge> edges,
                                std::size_t n_inputs,
-                               std::unordered_map<std::string, int> net_ids,
+                               util::NameIndex net_ids,
                                std::vector<NetHome> home)
     : shards_(std::move(shards)),
       edges_(std::move(edges)),
@@ -70,11 +71,9 @@ double ShardedCircuit::Result::load_imbalance() const {
 const waveform::DigitalTrace& ShardedCircuit::Result::trace(
     const std::string& net) const {
   CHARLIE_ASSERT(owner != nullptr);
-  const auto it = owner->net_ids_.find(net);
-  if (it == owner->net_ids_.end()) {
-    throw ConfigError("sharded circuit: unknown net " + net);
-  }
-  const auto id = static_cast<std::size_t>(it->second);
+  const int found = owner->net_ids_.find(net);
+  if (found < 0) throw ConfigError("sharded circuit: unknown net " + net);
+  const auto id = static_cast<std::size_t>(found);
   if (id < owner->n_inputs_) return input_traces[id];
   const NetHome& home = owner->home_[id];
   return shard_results[home.shard].trace(home.net);
@@ -86,6 +85,14 @@ namespace {
 // matching consumer window.
 struct BoundaryEvent {
   double t = 0.0;
+  bool value = false;
+};
+
+// A boundary transition gathered for injection: `rank` is its edge's
+// position in the consumer's in-edge list.
+struct IncomingEvent {
+  double t = 0.0;
+  std::uint32_t rank = 0;
   bool value = false;
   std::size_t to_input = 0;
 };
@@ -164,6 +171,8 @@ ShardedCircuit::Result ShardedCircuit::simulate(
   std::vector<std::vector<std::vector<BoundaryEvent>>> buckets(edges_.size());
   for (auto& per_window : buckets) per_window.resize(n_windows);
   std::vector<std::size_t> export_cursor(edges_.size(), 0);
+  // One injection buffer per shard, reused by each of its window tasks.
+  std::vector<std::vector<IncomingEvent>> incoming_by_shard(n_shards);
 
   // Per-(shard, window) event counts, written by the owning task (distinct
   // slot per task, so no synchronization beyond the pool's step barrier).
@@ -196,22 +205,25 @@ ShardedCircuit::Result ShardedCircuit::simulate(
                 session.n_stimulus_events() + session.n_gate_events();
             try {
               // Inject this window's boundary transitions, globally
-              // time-sorted; the edge iteration order breaks (measure-zero)
-              // exact-time ties deterministically.
-              std::vector<BoundaryEvent> incoming;
-              for (const std::size_t edge_index : in_edges_[k]) {
-                const auto& bucket = buckets[edge_index][w];
+              // time-sorted; the in-edge order breaks (measure-zero)
+              // exact-time ties deterministically. One edge's times
+              // strictly increase, so (t, rank) is unique and the unstable
+              // sort gives the stable order.
+              std::vector<IncomingEvent>& incoming = incoming_by_shard[k];
+              incoming.clear();
+              for (std::size_t r = 0; r < in_edges_[k].size(); ++r) {
+                const std::size_t edge_index = in_edges_[k][r];
                 const std::size_t to_input = edges_[edge_index].to_input;
-                for (const BoundaryEvent& ev : bucket) {
-                  incoming.push_back({ev.t, ev.value, to_input});
+                for (const BoundaryEvent& ev : buckets[edge_index][w]) {
+                  incoming.push_back({ev.t, static_cast<std::uint32_t>(r),
+                                      ev.value, to_input});
                 }
               }
-              std::stable_sort(
-                  incoming.begin(), incoming.end(),
-                  [](const BoundaryEvent& a, const BoundaryEvent& b) {
-                    return a.t < b.t;
-                  });
-              for (const BoundaryEvent& ev : incoming) {
+              std::sort(incoming.begin(), incoming.end(),
+                        [](const IncomingEvent& a, const IncomingEvent& b) {
+                          return a.t < b.t || (a.t == b.t && a.rank < b.rank);
+                        });
+              for (const IncomingEvent& ev : incoming) {
                 session.inject(ev.to_input, ev.t, ev.value);
               }
               session.advance(window_end(w));
@@ -229,7 +241,7 @@ ShardedCircuit::Result ShardedCircuit::simulate(
                 while (cursor < produced.n_transitions() &&
                        produced.transitions()[cursor] <= session.t_horizon()) {
                   bucket.push_back({produced.transitions()[cursor],
-                                    produced.is_rising(cursor), e.to_input});
+                                    produced.is_rising(cursor)});
                   ++cursor;
                 }
               }

@@ -34,11 +34,11 @@
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "sim/circuit.hpp"
+#include "util/name_index.hpp"
 #include "util/thread_pool.hpp"
 #include "waveform/digital_trace.hpp"
 
@@ -91,7 +91,7 @@ class ShardedCircuit {
   /// outputs follow); `home[id]` locates every non-input net.
   ShardedCircuit(std::vector<Shard> shards, std::vector<BoundaryEdge> edges,
                  std::size_t n_inputs,
-                 std::unordered_map<std::string, int> net_ids,
+                 util::NameIndex net_ids,
                  std::vector<NetHome> home);
 
   std::size_t n_shards() const { return shards_.size(); }
@@ -154,8 +154,8 @@ class ShardedCircuit {
   std::vector<Shard> shards_;
   std::vector<BoundaryEdge> edges_;
   std::size_t n_inputs_ = 0;
-  std::unordered_map<std::string, int> net_ids_;  // name -> global net id
-  std::vector<NetHome> home_;                     // by global net id
+  util::NameIndex net_ids_;     // net name <-> global net id
+  std::vector<NetHome> home_;   // by global net id
   // Edge indices grouped by producer / consumer shard, in deterministic
   // construction order (consumer drain order must not depend on timing).
   std::vector<std::vector<std::size_t>> out_edges_;  // by from_shard

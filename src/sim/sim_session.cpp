@@ -123,8 +123,9 @@ void SimSession::initialize(
   // Gates were appended after their input nets exist, so a forward sweep
   // settles an acyclic circuit (two passes as a fixpoint safety net).
   for (int pass = 0; pass < 2; ++pass) {
-    for (auto& gate : c.gates_) {
-      const std::span<const Circuit::NetId> inputs = c.fanin(gate);
+    for (std::size_t g = 0; g < c.gates_.size(); ++g) {
+      Circuit::Gate& gate = c.gates_[g];
+      const std::span<const Circuit::NetId> inputs = c.fanin(g);
       for (std::size_t p = 0; p < inputs.size(); ++p) {
         gate.in_values[p] =
             net_value[static_cast<std::size_t>(inputs[p])] != 0;
@@ -136,7 +137,7 @@ void SimSession::initialize(
     }
   }
   for (auto& gate : c.gates_) {
-    if (gate.sis) {
+    if (!gate.is_mis) {
       gate.sis->initialize(t_begin_, gate.zero_time_value);
     } else {
       arena_.mis_values.assign(gate.in_values.begin(),
@@ -186,7 +187,8 @@ void SimSession::initialize(
 
 void SimSession::reschedule(std::size_t gate_index) {
   Circuit::Gate& gate = circuit_->gates_[gate_index];
-  const auto pending = gate.sis ? gate.sis->pending() : gate.mis->pending();
+  const auto pending =
+      gate.is_mis ? gate.mis->pending() : gate.sis->pending();
   if (pending.has_value() && pending->t <= horizon_) {
     arena_.heap.schedule(gate_index, pending->t, seq_++, pending->value);
     return;
@@ -211,7 +213,7 @@ void SimSession::propagate_net_change(Circuit::NetId net, double t,
   for (const auto [gate_index, port] : c.fanout(net_index)) {
     Circuit::Gate& gate = c.gates_[gate_index];
     gate.in_values[port] = value;
-    if (gate.sis) {
+    if (!gate.is_mis) {
       const bool nv = eval_gate(gate.kind, gate.in_values[0],
                                 gate.in_values[1], gate.in_values[2]);
       if (nv != gate.zero_time_value) {
@@ -247,21 +249,30 @@ void SimSession::advance(double t_horizon) {
   obs::ScopedSpan obs_span("sim.advance", "events", 0);
 
   std::vector<StimulusEvent>& stream = arena_.stream;
-  // Merge injected boundary transitions into the unprocessed stimulus tail.
-  // Both ranges are time-sorted; inplace_merge is stable, so pre-known
-  // stimuli precede injected events at equal times.
+  // Merge injected boundary transitions into the unprocessed stimulus tail,
+  // stably: pre-known stimuli precede injected events at equal times, and
+  // injected events keep their injection order among equal times. The
+  // sharded runner injects in time order, so the sort is usually skipped;
+  // the merge runs backward from the end of the grown stream, in place.
   if (!arena_.injected.empty()) {
     std::vector<StimulusEvent>& injected = arena_.injected;
     const auto by_time = [](const StimulusEvent& x, const StimulusEvent& y) {
       return x.t < y.t;
     };
-    std::stable_sort(injected.begin(), injected.end(), by_time);
-    const std::size_t mid = stream.size();
-    stream.insert(stream.end(), injected.begin(), injected.end());
-    std::inplace_merge(
-        stream.begin() + static_cast<std::ptrdiff_t>(stim_index_),
-        stream.begin() + static_cast<std::ptrdiff_t>(mid), stream.end(),
-        by_time);
+    if (!std::is_sorted(injected.begin(), injected.end(), by_time)) {
+      std::stable_sort(injected.begin(), injected.end(), by_time);
+    }
+    std::size_t i = stream.size();    // one past the stream tail's last
+    std::size_t j = injected.size();  // one past injected's last
+    stream.resize(stream.size() + injected.size());
+    std::size_t k = stream.size();
+    while (j > 0) {
+      if (i > stim_index_ && stream[i - 1].t > injected[j - 1].t) {
+        stream[--k] = stream[--i];
+      } else {
+        stream[--k] = injected[--j];
+      }
+    }
     injected.clear();
   }
 
@@ -319,7 +330,7 @@ void SimSession::advance(double t_horizon) {
     t_processed_ = fired.t;
     Circuit::Gate& gate = circuit_->gates_[gate_index];
     const PendingEvent event{fired.t, fired.value};
-    if (gate.sis) {
+    if (!gate.is_mis) {
       gate.sis->on_fire(event);
     } else {
       gate.mis->on_fire(event);

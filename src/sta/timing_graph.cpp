@@ -51,12 +51,8 @@ TimingGraph::TimingGraph(const cell::NetlistDesc& desc,
       builder_(library_),
       topo_(builder_.analyze_topology(desc_)) {
   const std::size_t n_elems = topo_.n_elements();
-  net_names_.reserve(topo_.n_nets());
-  net_names_.insert(net_names_.end(), desc_.inputs.begin(),
-                    desc_.inputs.end());
   kinds_.reserve(n_elems);
   for (std::size_t e = 0; e < n_elems; ++e) {
-    net_names_.push_back(sim::NetlistTopology::output_of(desc_, e));
     kinds_.push_back(sim::NetlistTopology::is_wire(desc_, e)
                          ? sim::GateKind::kBuf
                          : topo_.specs[e]->kind);
@@ -76,9 +72,9 @@ TimingGraph::TimingGraph(const cell::NetlistDesc& desc,
 }
 
 int TimingGraph::net_id(const std::string& name) const {
-  const auto it = topo_.net_ids.find(name);
-  CHARLIE_ASSERT_MSG(it != topo_.net_ids.end(), "timing graph: unknown net");
-  return it->second;
+  const int id = topo_.net_ids.find(name);
+  CHARLIE_ASSERT_MSG(id >= 0, "timing graph: unknown net");
+  return id;
 }
 
 ArcSet TimingGraph::arcs_at(const core::ProcessPoint& point) const {
@@ -94,8 +90,8 @@ ArcSet TimingGraph::arcs_at(const core::ProcessPoint& point) const {
 template <typename V, typename ArcOf, typename Join>
 void TimingGraph::propagate(ArcOf&& arc_of, Join&& join, std::vector<V>& rise,
                             std::vector<V>& fall) const {
-  rise.assign(net_names_.size(), V{});
-  fall.assign(net_names_.size(), V{});
+  rise.assign(topo_.n_nets(), V{});
+  fall.assign(topo_.n_nets(), V{});
   for (const int el : topo_.order) {
     const auto e = static_cast<std::size_t>(el);
     const std::span<const int> inputs = topo_.inputs_of(e);
@@ -152,8 +148,8 @@ TimingResult TimingGraph::analyze(const ArcSet& arcs, double deadline) const {
   // slack against the critical delay itself.
   const double target = deadline > 0.0 ? deadline : res.critical_delay;
   const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> req_rise(net_names_.size(), inf);
-  std::vector<double> req_fall(net_names_.size(), inf);
+  std::vector<double> req_rise(topo_.n_nets(), inf);
+  std::vector<double> req_fall(topo_.n_nets(), inf);
   for (const int id : endpoint_ids_) {
     req_rise[static_cast<std::size_t>(id)] = target;
     req_fall[static_cast<std::size_t>(id)] = target;
@@ -183,11 +179,11 @@ TimingResult TimingGraph::analyze(const ArcSet& arcs, double deadline) const {
     }
   }
 
-  res.nets.resize(net_names_.size());
+  res.nets.resize(topo_.n_nets());
   res.worst_slack = inf;
-  for (std::size_t n = 0; n < net_names_.size(); ++n) {
+  for (std::size_t n = 0; n < topo_.n_nets(); ++n) {
     NetTiming& t = res.nets[n];
-    t.net = net_names_[n];
+    t.net = nets()[n];
     t.arrival_rise = rise[n];
     t.arrival_fall = fall[n];
     t.required_rise = req_rise[n];
@@ -285,7 +281,7 @@ std::vector<CriticalPath> TimingGraph::critical_paths(const ArcSet& arcs,
         n.rising = in_rising;
         n.suffix += arc;
         n.priority = arrival(in, in_rising) + n.suffix;
-        n.steps.push_back({net_names_[static_cast<std::size_t>(in)], in_rising,
+        n.steps.push_back({nets()[static_cast<std::size_t>(in)], in_rising,
                            n.suffix});
         queue.push(std::move(n));
       };

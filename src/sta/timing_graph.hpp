@@ -90,7 +90,9 @@ class TimingGraph {
   TimingGraph(const cell::NetlistDesc& desc,
               std::shared_ptr<const cell::CellLibrary> library);
 
-  const std::vector<std::string>& nets() const { return net_names_; }
+  const std::vector<std::string>& nets() const {
+    return topo_.net_ids.names();
+  }
   const std::vector<std::string>& endpoints() const { return endpoints_; }
   const ArcSet& nominal_arcs() const { return nominal_arcs_; }
 
@@ -135,7 +137,6 @@ class TimingGraph {
   std::shared_ptr<const cell::CellLibrary> library_;
   sim::CircuitBuilder builder_;  // wire-table memoization across corners
   sim::NetlistTopology topo_;    // net ids, CSR fan-in, element topo order
-  std::vector<std::string> net_names_;  // by net id: inputs, then elements
   std::vector<sim::GateKind> kinds_;    // by element; wires are kBuf
   std::vector<std::string> endpoints_;
   std::vector<int> endpoint_ids_;

@@ -1,7 +1,7 @@
-// Steady-state heap allocations of a Monte-Carlo batch. This executable
-// replaces the global operator new with a counting one, so it stands
-// alone: every allocation on any thread, the batch pool's workers
-// included, is counted.
+// Heap allocations of a steady-state Monte-Carlo batch and of netlist
+// elaboration. This executable replaces the global operator new with a
+// counting one, so it stands alone: every allocation on any thread, the
+// batch pool's workers included, is counted.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,7 @@
 
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
+#include "cell/netlist_gen.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/circuit_builder.hpp"
 
@@ -104,6 +105,66 @@ TEST(RunAllocations, VariationC432RunAllocatesNothingInSteadyState) {
   const long allocations = allocations_of_repeated_run(config);
   RecordProperty("allocations", static_cast<int>(allocations));
   EXPECT_LE(allocations, static_cast<long>(config.n_runs));
+}
+
+// Elaboration allocates per element only what the element itself owns:
+// its channel object. Names are interned into flat tables (short names
+// stay in the strings' inline buffers), and every other array is sized
+// up front, so per-net and per-gate heap nodes show up here.
+class ElaborationAllocations : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    cell::NetlistGenConfig config;
+    config.n_gates = 20000;
+    desc_ = new cell::NetlistDesc(cell::generate_netlist(config));
+    builder_ = new CircuitBuilder(std::make_shared<const cell::CellLibrary>(
+        cell::CellLibrary::reference()));
+    // Collapse the wire geometries once: the builder memoizes them.
+    builder_->build(*desc_);
+  }
+  static void TearDownTestSuite() {
+    delete builder_;
+    delete desc_;
+  }
+
+  static double per_element(long allocations) {
+    return static_cast<double>(allocations) /
+           static_cast<double>(desc_->instances.size() + desc_->wires.size());
+  }
+
+  static const cell::NetlistDesc* desc_;
+  static const CircuitBuilder* builder_;
+};
+
+const cell::NetlistDesc* ElaborationAllocations::desc_ = nullptr;
+const CircuitBuilder* ElaborationAllocations::builder_ = nullptr;
+
+TEST_F(ElaborationAllocations, BuildMakesAboutOnePerElement) {
+  const long before = g_allocations.load();
+  const auto circuit = builder_->build(*desc_);
+  const double per = per_element(g_allocations.load() - before);
+  RecordProperty("allocations_per_element", std::to_string(per));
+  EXPECT_EQ(circuit->n_gates(),
+            desc_->instances.size() + desc_->wires.size());
+  EXPECT_LE(per, 1.1);
+}
+
+TEST_F(ElaborationAllocations, BuildShardedMakesAboutOnePerElement) {
+  const long before = g_allocations.load();
+  const auto sharded = builder_->build_sharded(*desc_, 4);
+  const double per = per_element(g_allocations.load() - before);
+  RecordProperty("allocations_per_element", std::to_string(per));
+  EXPECT_EQ(sharded->n_shards(), 4u);
+  EXPECT_LE(per, 1.1);
+}
+
+TEST_F(ElaborationAllocations, AnalyzeTopologyMakesNoPerElementAllocation) {
+  const long before = g_allocations.load();
+  const NetlistTopology topo = builder_->analyze_topology(*desc_);
+  const double per = per_element(g_allocations.load() - before);
+  RecordProperty("allocations_per_element", std::to_string(per));
+  EXPECT_EQ(topo.n_elements(), desc_->instances.size() + desc_->wires.size());
+  EXPECT_LE(per, 0.05);
 }
 
 }  // namespace

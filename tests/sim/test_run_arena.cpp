@@ -203,6 +203,59 @@ TEST_F(RunArenaSession, StreamFedSessionMatchesInjectedTransitions) {
   check(std::vector<DigitalTrace>(n_inputs), 0.0);
 }
 
+// Pre-known stimuli on the lower inputs, the upper inputs' transitions
+// injected window by window -- once in time order (the sharded runner's
+// order, which skips the sort) and once input-major (which needs it). On
+// grid stimuli full of equal times, the stream must come out exactly as
+// one merged stimulus stream: pre-known events first at equal times, then
+// injected ones in input order.
+TEST_F(RunArenaSession, WindowedInjectionMatchesOneMergedStream) {
+  const std::size_t n_inputs = circuit_->n_inputs();
+  const std::size_t n_known = n_inputs / 2;
+  const std::vector<DigitalTrace> stimuli = grid_stimuli(n_inputs, 24, 1, 11);
+  double t_last = 0.0;
+  for (const auto& trace : stimuli) {
+    t_last = std::max(t_last, trace.transitions().back());
+  }
+  const double t_end = t_last + 2e-9;
+  const Circuit::SimResult reference = circuit_->simulate(stimuli, 0.0, t_end);
+  for (const bool time_ordered : {true, false}) {
+    std::vector<DigitalTrace> known = stimuli;
+    for (std::size_t i = n_known; i < n_inputs; ++i) {
+      known[i] = DigitalTrace(stimuli[i].initial_value(), {});
+    }
+    SimSession session(*circuit_, known, 0.0);
+    constexpr int kWindows = 5;
+    double horizon = 0.0;
+    for (int w = 1; w <= kWindows; ++w) {
+      const double next = w == kWindows ? t_end : t_end * w / kWindows;
+      std::vector<StimulusEvent> window;
+      for (std::size_t i = n_known; i < n_inputs; ++i) {
+        for (std::size_t k = 0; k < stimuli[i].n_transitions(); ++k) {
+          const double t = stimuli[i].transitions()[k];
+          if (t > horizon && t <= next) {
+            window.push_back({t, static_cast<std::uint32_t>(i),
+                              stimuli[i].is_rising(k)});
+          }
+        }
+      }
+      if (time_ordered) {
+        std::sort(window.begin(), window.end(),
+                  [](const StimulusEvent& x, const StimulusEvent& y) {
+                    return x.t < y.t || (x.t == y.t && x.input < y.input);
+                  });
+      }
+      for (const StimulusEvent& ev : window) {
+        session.inject(ev.input, ev.t, ev.value);
+      }
+      session.advance(next);
+      horizon = next;
+    }
+    SCOPED_TRACE(time_ordered ? "time-ordered injection" : "input-major");
+    expect_same_run(session.take_result(), reference);
+  }
+}
+
 TEST_F(RunArenaSession, ArenaRunMatchesTheVectorEntryPoint) {
   waveform::TraceConfig config;
   config.n_transitions = 32;

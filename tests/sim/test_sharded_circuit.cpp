@@ -183,13 +183,13 @@ TEST(NetlistTopology, NetIdsAreInputsThenElementsWithResolvedFanin) {
   ASSERT_EQ(topo.net_ids.size(), topo.n_nets());
   std::vector<std::string> names(topo.n_nets());
   for (std::size_t i = 0; i < n_inputs; ++i) {
-    EXPECT_EQ(topo.net_ids.at(desc.inputs[i]), static_cast<int>(i));
+    EXPECT_EQ(topo.net_ids.find(desc.inputs[i]), static_cast<int>(i));
     EXPECT_EQ(topo.driver(static_cast<int>(i)), -1);
     names[i] = desc.inputs[i];
   }
   for (std::size_t e = 0; e < n_elems; ++e) {
     const std::string& out = sim::NetlistTopology::output_of(desc, e);
-    EXPECT_EQ(topo.net_ids.at(out), static_cast<int>(n_inputs + e));
+    EXPECT_EQ(topo.net_ids.find(out), static_cast<int>(n_inputs + e));
     EXPECT_EQ(topo.output_net(e), static_cast<int>(n_inputs + e));
     EXPECT_EQ(topo.driver(topo.output_net(e)), static_cast<int>(e));
     names[n_inputs + e] = out;
