@@ -14,9 +14,7 @@
 // more than once per mode need this).
 #pragma once
 
-#include <array>
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -28,61 +26,37 @@ struct PendingEvent {
 };
 
 /// FIFO of decided output events, shared by the channels that queue them
-/// (committed crossings, pure-delay transitions). A ring buffer whose
-/// first kInline slots live inside the object: a channel's queue rarely
-/// holds more than one event, so a netlist's worth of channels commits its
-/// crossings without touching the heap. A deeper queue moves into a
-/// doubling heap ring, which it keeps (and reuses) once drained, so a
-/// queue's storage is bounded by its peak occupancy.
+/// (committed crossings, pure-delay transitions). A vector plus a head
+/// index: unlike std::deque it allocates nothing while empty, and once
+/// drained it reuses its buffer, so a netlist's worth of idle channels
+/// holds no heap memory. The consumed prefix is dropped whenever it
+/// outgrows the live tail, so a queue that never drains stays bounded.
 class PendingFifo {
  public:
-  bool empty() const { return size_ == 0; }
-  const PendingEvent& front() const { return data()[head_]; }
+  bool empty() const { return head_ == events_.size(); }
+  const PendingEvent& front() const { return events_[head_]; }
 
   void push_back(PendingEvent event) {
-    if (size_ == capacity()) grow();
-    data()[(head_ + size_) & (capacity() - 1)] = event;
-    ++size_;
+    if (head_ > 0 && 2 * head_ >= events_.size()) {
+      events_.erase(events_.begin(),
+                    events_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    events_.push_back(event);
   }
 
   void pop_front() {
-    head_ = (head_ + 1) & (capacity() - 1);
-    --size_;
+    if (++head_ == events_.size()) clear();
   }
 
   void clear() {
+    events_.clear();
     head_ = 0;
-    size_ = 0;
   }
 
  private:
-  static constexpr std::uint32_t kInline = 2;  // power of two
-
-  const PendingEvent* data() const {
-    return spill_.empty() ? inline_.data() : spill_.data();
-  }
-  PendingEvent* data() {
-    return spill_.empty() ? inline_.data() : spill_.data();
-  }
-  std::uint32_t capacity() const {
-    return spill_.empty() ? kInline
-                          : static_cast<std::uint32_t>(spill_.size());
-  }
-  /// Double the ring, unrolled so the oldest event lands at slot 0.
-  void grow() {
-    const std::uint32_t cap = capacity();
-    std::vector<PendingEvent> next(2 * static_cast<std::size_t>(cap));
-    for (std::uint32_t i = 0; i < size_; ++i) {
-      next[i] = data()[(head_ + i) & (cap - 1)];
-    }
-    spill_.swap(next);
-    head_ = 0;
-  }
-
-  std::array<PendingEvent, kInline> inline_{};
-  std::vector<PendingEvent> spill_;  // empty until the queue outgrows inline_
-  std::uint32_t head_ = 0;
-  std::uint32_t size_ = 0;
+  std::vector<PendingEvent> events_;
+  std::size_t head_ = 0;
 };
 
 /// Single-input channel processing an alternating boolean signal.

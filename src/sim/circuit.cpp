@@ -34,8 +34,9 @@ Circuit::NetId Circuit::add_input(const std::string& name) {
   return id;
 }
 
-// The gate record borrows the channel; ownership moves to the cold array
-// only once the gate is in, so a rejected gate frees its channel.
+// The gate record borrows the channel, which the cold ownership array takes
+// first; a gate that append_gate rejects pops it again, so the channel is
+// freed and no gate record points at it.
 Circuit::NetId Circuit::add_gate(GateKind kind,
                                  const std::string& output_name,
                                  std::span<const NetId> inputs,
@@ -43,9 +44,13 @@ Circuit::NetId Circuit::add_gate(GateKind kind,
   CHARLIE_ASSERT(channel != nullptr);
   Gate gate;
   gate.sis = channel.get();
-  const NetId output = append_gate(kind, output_name, inputs, gate);
   sis_channels_.push_back(std::move(channel));
-  return output;
+  try {
+    return append_gate(kind, output_name, inputs, gate);
+  } catch (...) {
+    sis_channels_.pop_back();
+    throw;
+  }
 }
 
 Circuit::NetId Circuit::add_mis_gate(GateKind kind,
@@ -56,9 +61,13 @@ Circuit::NetId Circuit::add_mis_gate(GateKind kind,
   Gate gate;
   gate.mis = channel.get();
   gate.is_mis = true;
-  const NetId output = append_gate(kind, output_name, inputs, gate);
   mis_channels_.push_back(std::move(channel));
-  return output;
+  try {
+    return append_gate(kind, output_name, inputs, gate);
+  } catch (...) {
+    mis_channels_.pop_back();
+    throw;
+  }
 }
 
 Circuit::NetId Circuit::append_gate(GateKind kind,

@@ -20,21 +20,18 @@ std::size_t slots_for(std::size_t n) {
 
 }  // namespace
 
-std::size_t NameIndex::default_hash(std::string_view name) {
-  return std::hash<std::string_view>{}(name);
-}
-
 void NameIndex::reserve(std::size_t n) {
   names_.reserve(n);
   if (slots_for(n) > slots_.size()) rehash(slots_for(n));
 }
 
 std::size_t NameIndex::slot_of(std::string_view name) const {
-  // Fibonacci hashing spreads the hash's high bits over the table, so a
-  // hasher with weak low bits still probes evenly.
+  // Fibonacci hashing takes the home slot from the product's high bits, so
+  // every bit of the hash reaches the table.
   const std::size_t mask = slots_.size() - 1;
   std::size_t s = static_cast<std::size_t>(
-      (static_cast<std::uint64_t>(hash_(name)) * 0x9E3779B97F4A7C15ull) >>
+      (static_cast<std::uint64_t>(std::hash<std::string_view>{}(name)) *
+       0x9E3779B97F4A7C15ull) >>
       shift_);
   while (true) {
     const std::int32_t id = slots_[s];

@@ -20,14 +20,6 @@ namespace charlie::util {
 
 class NameIndex {
  public:
-  using Hasher = std::size_t (*)(std::string_view);
-
-  /// The hash every index uses unless a test substitutes its own (a
-  /// degenerate hasher forces long probe chains).
-  static std::size_t default_hash(std::string_view name);
-
-  explicit NameIndex(Hasher hash = &default_hash) : hash_(hash) {}
-
   /// Size the name vector and the slot table for `n` names, so inserting
   /// them never rehashes.
   void reserve(std::size_t n);
@@ -53,7 +45,6 @@ class NameIndex {
   std::size_t slot_of(std::string_view name) const;
   void rehash(std::size_t n_slots);
 
-  Hasher hash_;
   std::vector<std::string> names_;  // by id
   std::vector<std::int32_t> slots_;  // ids; -1 empty; power-of-two size
   unsigned shift_ = 64;              // 64 - log2(slots_.size())

@@ -8,7 +8,7 @@
 namespace charlie::sim {
 namespace {
 
-TEST(PendingFifo, KeepsOrderWhileInlineAndAfterSpilling) {
+TEST(PendingFifo, KeepsOrderAcrossGrowth) {
   PendingFifo fifo;
   EXPECT_TRUE(fifo.empty());
   for (int i = 0; i < 9; ++i) {
@@ -34,8 +34,9 @@ TEST(PendingFifo, ClearEmptiesTheQueue) {
   EXPECT_EQ(fifo.front().t, 4.0);
 }
 
-// Interleaved pushes and pops wrap the ring's head around both the inline
-// slots and every grown capacity; a std::deque is the reference.
+// Interleaved pushes and pops move the head through the buffer, drop the
+// consumed prefix and reuse the drained buffer; a std::deque is the
+// reference.
 TEST(PendingFifo, RandomizedAgainstDeque) {
   PendingFifo fifo;
   std::deque<PendingEvent> reference;

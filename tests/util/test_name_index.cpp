@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -120,24 +122,41 @@ TEST(NameIndex, ReserveKeepsIdsAndLookups) {
   EXPECT_EQ(index.insert("r"), 2);
 }
 
-// A hasher with ten distinct values piles the names onto ten probe chains
-// that merge into each other and wrap around the table's end: lookups,
-// duplicate rejection and every rehash must still be exact.
-std::size_t few_buckets(std::string_view name) {
-  return name.empty() ? 0 : static_cast<std::size_t>(name.back());
+// Home slot of `name` in the index's smallest (16-slot) table: the
+// Fibonacci hash of std::hash that NameIndex uses.
+std::size_t home_slot_of_16(std::string_view name) {
+  return static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(std::hash<std::string_view>{}(name)) *
+       0x9E3779B97F4A7C15ull) >>
+      60);
 }
 
+// Names that all hash to the last of the 16 slots form one probe chain that
+// wraps around the table's end. Seven of them fill the table as far as it
+// goes before growing (under half full); lookups of present and absent
+// names and duplicate rejection must walk the whole chain exactly, and the
+// eighth name's rehash must place every chained name again.
 TEST(NameIndex, HeavyProbingOnASmallTable) {
-  NameIndex index(&few_buckets);
-  std::vector<std::string> names;
-  for (int i = 0; i < 300; ++i) {
-    names.push_back(numbered("g", i));
-    ASSERT_EQ(index.insert(names.back()), i);
-    ASSERT_EQ(index.insert(names.back()), -1);
-    ASSERT_EQ(index.find(numbered("g", i + 1)), -1);
+  std::vector<std::string> chained;
+  std::vector<std::string> absent;
+  for (int i = 0; chained.size() < 8 || absent.size() < 3; ++i) {
+    std::string name = numbered("g", i);
+    if (home_slot_of_16(name) != 15) continue;
+    (chained.size() < 8 ? chained : absent).push_back(std::move(name));
   }
+  NameIndex index;
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < 7; ++i) {
+    names.push_back(chained[i]);
+    ASSERT_EQ(index.insert(names.back()), static_cast<int>(i));
+    for (const auto& name : names) ASSERT_EQ(index.insert(name), -1) << name;
+    expect_consistent(index, names);
+    for (const auto& name : absent) EXPECT_EQ(index.find(name), -1) << name;
+  }
+  names.push_back(chained[7]);
+  ASSERT_EQ(index.insert(names.back()), 7);
   expect_consistent(index, names);
-  EXPECT_EQ(index.find("g300"), -1);
+  for (const auto& name : absent) EXPECT_EQ(index.find(name), -1) << name;
   EXPECT_EQ(index.find(""), -1);
 }
 
