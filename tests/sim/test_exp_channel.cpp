@@ -130,6 +130,35 @@ TEST(ExpChannel, CommittedCrossingSurvivesLateCancellation) {
   EXPECT_GT(next->t, still->t);
 }
 
+TEST(ExpChannel, OnFireMismatchFailsLoudly) {
+  // Engine/channel desync must be detected, not silently absorbed: a fired
+  // event that is not pending() throws, on the live and committed paths.
+  ExpChannel ch(typical_params());
+  ch.initialize(0.0, false);
+  ch.on_input(1e-9, true);
+  const auto p = ch.pending();
+  ASSERT_TRUE(p.has_value());
+  PendingEvent wrong_time = *p;
+  wrong_time.t += 1e-12;
+  EXPECT_THROW(ch.on_fire(wrong_time), AssertionError);
+  PendingEvent wrong_value = *p;
+  wrong_value.value = !wrong_value.value;
+  EXPECT_THROW(ch.on_fire(wrong_value), AssertionError);
+  ch.on_fire(*p);
+  // Nothing pending: any fired event is a desync.
+  EXPECT_THROW(ch.on_fire(*p), AssertionError);
+  // Committed path: the reversal's effective time lands after the falling
+  // crossing, which is committed; fire a wrong event against it.
+  ch.on_input(2e-9, false);
+  const auto fall = ch.pending();
+  ASSERT_TRUE(fall.has_value());
+  ch.on_input(fall->t - 1e-12, true);
+  PendingEvent bogus = *ch.pending();
+  EXPECT_DOUBLE_EQ(bogus.t, fall->t);
+  bogus.t -= 1e-12;
+  EXPECT_THROW(ch.on_fire(bogus), AssertionError);
+}
+
 TEST(ExpChannel, ParametersValidated) {
   ExpChannelParams p = typical_params();
   p.delta_min = 60e-12;  // exceeds SIS delays

@@ -89,6 +89,34 @@ TEST(SumExpChannel, CommittedCrossingSurvivesLateCancellation) {
   EXPECT_DOUBLE_EQ(still->t, up->t);
 }
 
+TEST(SumExpChannel, OnFireMismatchFailsLoudly) {
+  // Same desync check as the other crossing channels: a fired event that is
+  // not pending() throws, on the live and committed paths.
+  SumExpChannelParams p = typical_params();
+  p.delta_min = 20e-12;
+  SumExpChannel ch(p);
+  ch.initialize(0.0, false);
+  ch.on_input(1e-9, true);
+  const auto up = ch.pending();
+  ASSERT_TRUE(up.has_value());
+  PendingEvent wrong_time = *up;
+  wrong_time.t += 1e-12;
+  EXPECT_THROW(ch.on_fire(wrong_time), AssertionError);
+  PendingEvent wrong_value = *up;
+  wrong_value.value = !wrong_value.value;
+  EXPECT_THROW(ch.on_fire(wrong_value), AssertionError);
+  ch.on_fire(*up);
+  EXPECT_THROW(ch.on_fire(*up), AssertionError);
+  ch.on_input(2e-9, false);
+  const auto down = ch.pending();
+  ASSERT_TRUE(down.has_value());
+  ch.on_input(down->t - 1e-12, true);  // effective after the crossing
+  PendingEvent bogus = *ch.pending();
+  EXPECT_DOUBLE_EQ(bogus.t, down->t);
+  bogus.t -= 1e-12;
+  EXPECT_THROW(ch.on_fire(bogus), AssertionError);
+}
+
 TEST(SumExpChannel, DegeneratesToExpWhenWeightIsOne) {
   SumExpChannelParams p;
   p.tau_up_a = 20e-12;
