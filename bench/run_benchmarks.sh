@@ -3,6 +3,10 @@
 # merging their google-benchmark JSON into BENCH_runtime.json (or $1) at the
 # repo root. See bench/README.md for how to read the numbers.
 #
+# Every benchmark runs BENCH_REPETITIONS times (default 5); the ledger keeps
+# the median and coefficient-of-variation aggregates of each row, and its
+# context records the host's core count (nproc) and SIMD level.
+#
 # The ledger is guarded: the script refuses to write it from a project tree
 # configured as anything but Release (debug timings are noise, not a
 # baseline). Host-level caveats that cannot be fixed from here -- benchmarked
@@ -13,6 +17,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_runtime.json}"
+reps="${BENCH_REPETITIONS:-5}"
 
 # Pre-commit hygiene gate (fast): refuse to publish numbers from a tree
 # that tracks build artifacts. tools/check_tree.sh (no flag) is the full
@@ -45,20 +50,21 @@ fi
 tmp_dir=$(mktemp -d)
 trap 'rm -rf "$tmp_dir"' EXIT
 
-./build/bench/bench_runtime_overhead --benchmark_format=json \
-  >"$tmp_dir/runtime.json"
-./build/bench/bench_batch_throughput --benchmark_format=json \
-  >"$tmp_dir/batch.json"
-./build/bench/bench_netlist_throughput --benchmark_format=json \
-  >"$tmp_dir/netlist.json"
-./build/bench/bench_wire_throughput --benchmark_format=json \
-  >"$tmp_dir/wire.json"
-./build/bench/bench_sharded_throughput --benchmark_format=json \
-  >"$tmp_dir/sharded.json"
-./build/bench/bench_process_derive --benchmark_format=json \
-  >"$tmp_dir/process.json"
-./build/bench/bench_sta --benchmark_format=json \
-  >"$tmp_dir/sta.json"
+for suite in runtime_overhead batch_throughput netlist_throughput \
+  wire_throughput sharded_throughput process_derive sta; do
+  "./build/bench/bench_$suite" --benchmark_format=json \
+    --benchmark_repetitions="$reps" --benchmark_report_aggregates_only=true \
+    >"$tmp_dir/$suite.json"
+done
+
+# Highest SIMD level the CPU reports (the level ModeTableGrid's kernels
+# dispatch on: AVX-512, AVX2+FMA or the SSE2 baseline).
+flags=$(grep -m1 '^flags' /proc/cpuinfo || true)
+case " $flags " in
+  *" avx512f "*) simd=avx512 ;;
+  *" avx2 "*" fma "* | *" fma "*" avx2 "*) simd=avx2+fma ;;
+  *) simd=sse2 ;;
+esac
 
 # Merge into a temp file and move it into place atomically: a failure
 # anywhere above (set -euo pipefail) or inside the merge leaves any previous
@@ -68,10 +74,11 @@ trap 'rm -rf "$tmp_dir"' EXIT
 # context.warnings.
 merge_warnings=""
 if [ "${#warnings[@]}" -gt 0 ]; then merge_warnings="${warnings[0]}"; fi
-WARNINGS="$merge_warnings" python3 - "$tmp_dir/runtime.json" \
-  "$tmp_dir/batch.json" "$tmp_dir/netlist.json" "$tmp_dir/wire.json" \
-  "$tmp_dir/sharded.json" "$tmp_dir/process.json" "$tmp_dir/sta.json" \
-  "$tmp_dir/merged.json" <<'EOF'
+WARNINGS="$merge_warnings" NPROC="$n_cores" SIMD="$simd" python3 - \
+  "$tmp_dir/runtime_overhead.json" "$tmp_dir/batch_throughput.json" \
+  "$tmp_dir/netlist_throughput.json" "$tmp_dir/wire_throughput.json" \
+  "$tmp_dir/sharded_throughput.json" "$tmp_dir/process_derive.json" \
+  "$tmp_dir/sta.json" "$tmp_dir/merged.json" <<'EOF'
 import json, os, sys
 runtime, *extras, out = sys.argv[1:]
 with open(runtime) as f:
@@ -79,6 +86,11 @@ with open(runtime) as f:
 for path in extras:
     with open(path) as f:
         merged["benchmarks"] += json.load(f)["benchmarks"]
+merged["benchmarks"] = [
+    b for b in merged["benchmarks"]
+    if b.get("aggregate_name") in ("median", "cv")]
+merged["context"]["nproc"] = int(os.environ["NPROC"])
+merged["context"]["simd"] = os.environ["SIMD"]
 warnings = [w for w in [os.environ.get("WARNINGS", "")] if w]
 if merged["context"].get("library_build_type") != "release":
     warnings.append(

@@ -1,32 +1,17 @@
 #include "core/gate_delay.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "fit/brent_root.hpp"
 #include "util/error.hpp"
 
 namespace charlie::core {
 
-namespace {
-
-ode::Vec2 advance(const ModeTable& mt, const ode::Vec2& x_ref, double tau) {
-  if (tau <= 0.0) return x_ref;
-  if (mt.spectral_valid) {
-    const ode::Vec2 dev = x_ref - mt.xp;
-    return mt.xp + std::exp(mt.l1 * tau) * (mt.s1 * dev) +
-           std::exp(mt.l2 * tau) * (mt.s2 * dev);
-  }
-  return mt.ode.state_at(tau, x_ref);
-}
-
-}  // namespace
-
 double mode_table_crossing(const ModeTable& mt, const ode::Vec2& x_ref,
                            double tau_end, double vth, bool rising) {
   const TwoExpVo sc = two_exp_expand(mt, x_ref);
   auto vo = [&](double tau) {
-    return sc.valid ? sc.value(tau) : advance(mt, x_ref, tau).y;
+    return sc.valid ? sc.value(tau) : mode_state_at(mt, x_ref, tau).y;
   };
   constexpr int kSteps = 256;
   const double step = tau_end / kSteps;
@@ -69,7 +54,7 @@ double gate_output_crossing(const GateModeTables& tables, GateState s0,
     const ModeTable& mt = tables.state_table(s);
     const double t_cross = search_segment(mt, ev.t - t_seg);
     if (t_cross >= 0.0) return t_cross;
-    x = advance(mt, x, ev.t - t_seg);
+    x = mode_state_at(mt, x, ev.t - t_seg);
     t_seg = ev.t;
     s = gate_state_with(s, ev.port, ev.value);
   }

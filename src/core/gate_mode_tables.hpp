@@ -13,6 +13,7 @@
 // machinery, kept as a thin subclass for source compatibility.
 #pragma once
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -74,6 +75,21 @@ struct TwoExpVo {
 /// pieces (l1, l2, projector row, particular solution) come precomputed
 /// from the table; only the amplitudes depend on the entry state.
 TwoExpVo two_exp_expand(const ModeTable& mt, const ode::Vec2& x_ref);
+
+/// State `tau` after entering mode `mt` at `x_ref` (tau <= 0: x_ref): two
+/// exp() on the spectral form, the generic matrix exponential when the
+/// spectrum is defective. The one state advance of every mode-segment
+/// walker (event channels, scripted delay evaluation).
+inline ode::Vec2 mode_state_at(const ModeTable& mt, const ode::Vec2& x_ref,
+                               double tau) {
+  if (tau <= 0.0) return x_ref;
+  if (mt.spectral_valid) {
+    const ode::Vec2 dev = x_ref - mt.xp;
+    return mt.xp + std::exp(mt.l1 * tau) * (mt.s1 * dev) +
+           std::exp(mt.l2 * tau) * (mt.s2 * dev);
+  }
+  return mt.ode.state_at(tau, x_ref);
+}
 
 /// Derive every expansion field of a ModeTable (particular solution, scalar
 /// two-exponential coefficients, spectral projectors) from its affine ODE.

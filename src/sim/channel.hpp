@@ -18,6 +18,8 @@
 #include <optional>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace charlie::sim {
 
 struct PendingEvent {
@@ -57,6 +59,80 @@ class PendingFifo {
  private:
   std::vector<PendingEvent> events_;
   std::size_t head_ = 0;
+};
+
+/// Output events of a channel that are threshold crossings of an analog
+/// waveform (hybrid gate, RC wire, Exp, SumExp). Crossings before the
+/// effective time of the latest input are decided and wait in the
+/// committed FIFO; the live crossing of the current segment can still be
+/// withdrawn. pending() exposes the committed front first.
+class CrossingQueue {
+ public:
+  /// Nothing pending, output at `output` (a channel's initialize()).
+  void reset(bool output) {
+    committed_.clear();
+    has_live_ = false;
+    output_ = output;
+  }
+
+  /// Output level after the last fired event.
+  bool output() const { return output_; }
+
+  std::optional<PendingEvent> pending() const {
+    if (!committed_.empty()) return committed_.front();
+    if (has_live_) return live_;
+    return std::nullopt;
+  }
+
+  void set_live(const std::optional<PendingEvent>& crossing) {
+    has_live_ = crossing.has_value();
+    if (has_live_) live_ = *crossing;
+  }
+
+  /// An input takes effect at `te`: a live crossing at or before te has
+  /// physically happened and is committed, a later one is withdrawn.
+  /// Returns the time of the committed crossing, if any.
+  std::optional<double> commit_live(double te) {
+    if (!has_live_) return std::nullopt;
+    has_live_ = false;
+    if (live_.t > te) return std::nullopt;
+    committed_.push_back(live_);
+    return live_.t;
+  }
+
+  /// Queue a further decided crossing behind the committed ones.
+  void commit(const PendingEvent& crossing) { committed_.push_back(crossing); }
+
+  /// The engine fired pending(). A desync between the engine's queue and
+  /// the channel's would silently corrupt output traces, so `fired` must be
+  /// exactly that event. Returns true when the live crossing fired: the
+  /// caller then looks for the segment's next one.
+  bool fire(const PendingEvent& fired) {
+    output_ = fired.value;
+    if (!committed_.empty()) {
+      const PendingEvent& front = committed_.front();
+      CHARLIE_ASSERT_MSG(front.t == fired.t && front.value == fired.value,
+                         "crossing channel: fired event does not match the "
+                         "committed front");
+      committed_.pop_front();
+      return false;
+    }
+    CHARLIE_ASSERT(has_live_);
+    CHARLIE_ASSERT_MSG(live_.t == fired.t && live_.value == fired.value,
+                       "crossing channel: fired event does not match the "
+                       "live crossing");
+    has_live_ = false;
+    return true;
+  }
+
+ private:
+  PendingFifo committed_;
+  // A plain event plus an engaged flag instead of std::optional: the flag
+  // and the output level then share one word, where the optional's own
+  // flag would take a word of its own.
+  PendingEvent live_;
+  bool has_live_ = false;
+  bool output_ = false;
 };
 
 /// Single-input channel processing an alternating boolean signal.

@@ -6,6 +6,9 @@
 
 namespace charlie::sim {
 
+// One channel per gate instance: its size must not grow.
+static_assert(sizeof(ExpChannel) <= 128);
+
 namespace {
 constexpr double kLn2 = 0.6931471805599453;
 }
@@ -35,14 +38,7 @@ void ExpChannel::initialize(double t0, bool value) {
   v_ref_ = value ? 1.0 : 0.0;
   target_ = v_ref_;
   tau_ = value ? params_.tau_up() : params_.tau_down();
-  output_ = value;
-  committed_.clear();
-  live_.reset();
-}
-
-std::optional<PendingEvent> ExpChannel::pending() const {
-  if (!committed_.empty()) return committed_.front();
-  return live_;
+  queue_.reset(value);
 }
 
 double ExpChannel::state_at(double t) const {
@@ -54,10 +50,7 @@ void ExpChannel::on_input(double t, bool value) {
   const double te = t + params_.delta_min;  // pure delay defers the effect
   // A crossing before the effective input time has already happened and
   // cannot be cancelled by this input.
-  if (live_.has_value() && live_->t <= te) {
-    committed_.push_back(*live_);
-  }
-  live_.reset();
+  queue_.commit_live(te);
   const double v_now = state_at(te);
 
   t_ref_ = te;
@@ -68,24 +61,16 @@ void ExpChannel::on_input(double t, bool value) {
   if (value && v_now < 0.5) {
     // Rising crossing: v(t) = 1 - (1 - v_now) e^{-dt/tau} = 1/2.
     const double dt = tau_ * std::log((1.0 - v_now) / 0.5);
-    live_ = PendingEvent{te + dt, true};
+    queue_.set_live(PendingEvent{te + dt, true});
   } else if (!value && v_now > 0.5) {
     const double dt = tau_ * std::log(v_now / 0.5);
-    live_ = PendingEvent{te + dt, false};
+    queue_.set_live(PendingEvent{te + dt, false});
   }
   // Otherwise the waveform is already on the target side of the threshold:
   // any previously pending crossing is unreachable now (cancellation).
 }
 
-void ExpChannel::on_fire(const PendingEvent& fired) {
-  output_ = fired.value;
-  if (!committed_.empty()) {
-    committed_.pop_front();
-    return;
-  }
-  CHARLIE_ASSERT(live_.has_value());
-  live_.reset();
-}
+void ExpChannel::on_fire(const PendingEvent& fired) { queue_.fire(fired); }
 
 std::optional<double> ExpChannel::delay_function(double big_t,
                                                  bool rising) const {

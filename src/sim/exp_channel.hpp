@@ -36,8 +36,10 @@ class ExpChannel final : public SisChannel {
   void initialize(double t0, bool value) override;
   void on_input(double t, bool value) override;
   void on_fire(const PendingEvent& fired) override;
-  std::optional<PendingEvent> pending() const override;
-  bool initial_output() const override { return output_; }
+  std::optional<PendingEvent> pending() const override {
+    return queue_.pending();
+  }
+  bool initial_output() const override { return queue_.output(); }
 
   /// Closed-form delay function delta(T) of this channel for a transition
   /// in direction `rising`, where T is the previous-output-to-input delay.
@@ -55,11 +57,9 @@ class ExpChannel final : public SisChannel {
   double v_ref_ = 0.0;
   double target_ = 0.0;
   double tau_ = 1.0;
-  bool output_ = false;
   // Crossings predating the effective time of the latest input are decided
   // and non-cancellable; the live crossing of the current segment is not.
-  PendingFifo committed_;
-  std::optional<PendingEvent> live_;
+  CrossingQueue queue_;
 };
 
 }  // namespace charlie::sim

@@ -43,11 +43,13 @@ class HybridGateChannel : public GateChannel {
   void initialize(double t0, const std::vector<bool>& values) override;
   void on_input(double t, int port, bool value) override;
   void on_fire(const PendingEvent& fired) override;
-  std::optional<PendingEvent> pending() const override;
-  bool initial_output() const override { return output_; }
+  std::optional<PendingEvent> pending() const override {
+    return queue_.pending();
+  }
+  bool initial_output() const override { return queue_.output(); }
 
   /// Current analog state (V_int, V_O) at time t >= last event time.
-  ode::Vec2 state_at(double t) const;
+  ode::Vec2 state_at(double t) const { return segment_.state_at(t); }
 
   /// Current input state (bit i = logic level of input i, post pure delay).
   core::GateState input_state() const { return state_; }
@@ -63,30 +65,18 @@ class HybridGateChannel : public GateChannel {
   void rebind_tables(std::shared_ptr<const core::GateModeTables> tables);
 
  private:
-  std::optional<PendingEvent> next_crossing(double t_from) const;
-  std::optional<PendingEvent> next_crossing_scan(double t_from) const;
-  void refresh_scalar();
+  // Point the segment and the cached delta_min at tables_.
+  void load_tables();
 
   std::shared_ptr<const core::GateModeTables> tables_;
-  const core::ModeTable* mt_ = nullptr;  // current mode's table entry
-  // Cached table scalars, read on every event:
-  double vth_ = 0.0;
-  double horizon_ = 0.0;
+  // Current mode segment of (V_int, V_O); the crossing search runs on its
+  // scalar two-exponential expansion (hot path for event-driven
+  // simulation).
+  ModeSegment segment_;
   double delta_min_ = 0.0;
   int n_inputs_ = 0;
   core::GateState state_ = 0;  // logical input levels (post pure delay)
-  // Scalar two-exponential expansion of V_O on the current segment (see
-  // sim/two_exp_crossing.hpp); the crossing search runs on it instead of a
-  // linear scan (hot path for event-driven simulation).
-  TwoExpVo scalar_{};
-  double t_ref_ = 0.0;   // time of the state snapshot
-  ode::Vec2 x_ref_{};    // (V_int, V_O) at t_ref_
-  bool output_ = false;
-  // Crossings that precede the effective time of the latest input are
-  // physically decided and can no longer be cancelled; the live crossing
-  // of the current mode can. See on_input.
-  PendingFifo committed_;
-  std::optional<PendingEvent> live_;
+  CrossingQueue queue_;
 };
 
 }  // namespace charlie::sim

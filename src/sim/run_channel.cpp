@@ -16,16 +16,39 @@ struct InputEvent {
   bool value;
 };
 
-// Shared implementation over trace pointers, so the two-input convenience
-// overload never copies its (potentially long) traces.
-waveform::DigitalTrace run_gate_channel_impl(
-    GateChannel& channel,
-    std::span<const waveform::DigitalTrace* const> inputs, double t_begin,
-    double t_end) {
-  CHARLIE_ASSERT(t_end > t_begin);
+void initialize(GateChannel& channel,
+                std::span<const waveform::DigitalTrace* const> inputs,
+                double t_begin) {
   CHARLIE_ASSERT(channel.n_inputs() == static_cast<int>(inputs.size()));
+  std::vector<bool> initial;
+  initial.reserve(inputs.size());
+  for (const auto* trace : inputs) initial.push_back(trace->value_at(t_begin));
+  channel.initialize(t_begin, initial);
+}
 
-  // Merge the input traces into one chronological event list.
+void initialize(SisChannel& channel,
+                std::span<const waveform::DigitalTrace* const> inputs,
+                double t_begin) {
+  channel.initialize(t_begin, inputs[0]->value_at(t_begin));
+}
+
+void deliver(GateChannel& channel, const InputEvent& in) {
+  channel.on_input(in.t, in.port, in.value);
+}
+
+void deliver(SisChannel& channel, const InputEvent& in) {
+  channel.on_input(in.t, in.value);
+}
+
+// The harness for either channel kind, over trace pointers so the
+// convenience overloads never copy their (potentially long) traces.
+template <typename Channel>
+waveform::DigitalTrace run_channel(
+    Channel& channel, std::span<const waveform::DigitalTrace* const> inputs,
+    double t_begin, double t_end) {
+  CHARLIE_ASSERT(t_end > t_begin);
+  // Merge the input transitions strictly inside (t_begin, t_end) into one
+  // chronological event list (ties keep port order).
   std::size_t total = 0;
   for (const auto* trace : inputs) total += trace->n_transitions();
   std::vector<InputEvent> events;
@@ -44,10 +67,7 @@ waveform::DigitalTrace run_gate_channel_impl(
                      return x.t < y.t;
                    });
 
-  std::vector<bool> initial;
-  initial.reserve(inputs.size());
-  for (const auto* trace : inputs) initial.push_back(trace->value_at(t_begin));
-  channel.initialize(t_begin, initial);
+  initialize(channel, inputs, t_begin);
   waveform::DigitalTrace out(channel.initial_output(), {});
   bool out_value = channel.initial_output();
   double out_last_t = t_begin;
@@ -71,7 +91,7 @@ waveform::DigitalTrace run_gate_channel_impl(
       if (!pending.has_value() || pending->t > in.t) break;
       fire(*pending);
     }
-    channel.on_input(in.t, in.port, in.value);
+    deliver(channel, in);
   }
   // Drain remaining output events up to t_end.
   while (true) {
@@ -90,7 +110,7 @@ waveform::DigitalTrace run_gate_channel(
   std::vector<const waveform::DigitalTrace*> refs;
   refs.reserve(inputs.size());
   for (const auto& trace : inputs) refs.push_back(&trace);
-  return run_gate_channel_impl(channel, refs, t_begin, t_end);
+  return run_channel(channel, refs, t_begin, t_end);
 }
 
 waveform::DigitalTrace run_gate_channel(GateChannel& channel,
@@ -98,44 +118,14 @@ waveform::DigitalTrace run_gate_channel(GateChannel& channel,
                                         const waveform::DigitalTrace& b,
                                         double t_begin, double t_end) {
   const waveform::DigitalTrace* traces[] = {&a, &b};
-  return run_gate_channel_impl(channel, traces, t_begin, t_end);
+  return run_channel(channel, traces, t_begin, t_end);
 }
 
 waveform::DigitalTrace run_sis_channel(SisChannel& channel,
                                        const waveform::DigitalTrace& input,
                                        double t_begin, double t_end) {
-  CHARLIE_ASSERT(t_end > t_begin);
-  channel.initialize(t_begin, input.value_at(t_begin));
-  waveform::DigitalTrace out(channel.initial_output(), {});
-  bool out_value = channel.initial_output();
-  double out_last_t = t_begin;
-
-  auto fire = [&](const PendingEvent& ev) {
-    channel.on_fire(ev);
-    if (ev.t >= t_end) return;
-    if (ev.value == out_value) return;  // defensive, as in the gate harness
-    const double t = std::max(ev.t, std::nextafter(out_last_t, 1e300));
-    out.append_transition(t);
-    out_value = ev.value;
-    out_last_t = t;
-  };
-
-  for (std::size_t i = 0; i < input.n_transitions(); ++i) {
-    const double t = input.transitions()[i];
-    if (t <= t_begin || t >= t_end) continue;
-    while (true) {
-      const auto pending = channel.pending();
-      if (!pending.has_value() || pending->t > t) break;
-      fire(*pending);
-    }
-    channel.on_input(t, input.is_rising(i));
-  }
-  while (true) {
-    const auto pending = channel.pending();
-    if (!pending.has_value() || pending->t >= t_end) break;
-    fire(*pending);
-  }
-  return out;
+  const waveform::DigitalTrace* traces[] = {&input};
+  return run_channel(channel, traces, t_begin, t_end);
 }
 
 }  // namespace charlie::sim

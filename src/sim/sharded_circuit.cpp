@@ -235,7 +235,7 @@ ShardedCircuit::Result ShardedCircuit::simulate(
               for (const std::size_t edge_index : out_edges_[k]) {
                 const BoundaryEdge& e = edges_[edge_index];
                 const waveform::DigitalTrace& produced =
-                    session.result().trace(e.from_net);
+                    session.trace(e.from_net);
                 std::size_t& cursor = export_cursor[edge_index];
                 auto& bucket = buckets[edge_index][w];
                 while (cursor < produced.n_transitions() &&

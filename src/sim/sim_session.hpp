@@ -130,6 +130,11 @@ class SimSession {
   /// budget trip; only the first terminal status wins.
   void mark_failed(const std::string& what);
 
+  /// Trace of `net` appended so far; unlike result() it stamps nothing.
+  const waveform::DigitalTrace& trace(Circuit::NetId net) const {
+    return arena_.result.trace(net);
+  }
+
   /// Traces appended so far (up to the current horizon); n_events is the
   /// processed stimulus + gate event count.
   const Circuit::SimResult& result();

@@ -7,6 +7,9 @@
 
 namespace charlie::sim {
 
+// One channel per gate instance: its size must not grow.
+static_assert(sizeof(SumExpChannel) <= 152);
+
 void SumExpChannelParams::validate() const {
   CHARLIE_ASSERT(tau_up_a > 0.0 && tau_up_b > 0.0);
   CHARLIE_ASSERT(tau_down_a > 0.0 && tau_down_b > 0.0);
@@ -61,14 +64,7 @@ void SumExpChannel::initialize(double t0, bool value) {
   v_ref_ = value ? 1.0 : 0.0;
   target_ = v_ref_;
   segment_rising_ = value;
-  output_ = value;
-  committed_.clear();
-  live_.reset();
-}
-
-std::optional<PendingEvent> SumExpChannel::pending() const {
-  if (!committed_.empty()) return committed_.front();
-  return live_;
+  queue_.reset(value);
 }
 
 double SumExpChannel::shape(double dt, bool rising) const {
@@ -88,10 +84,7 @@ void SumExpChannel::on_input(double t, bool value) {
   const double te = t + params_.delta_min;
   // A crossing before the effective input time has already happened and
   // cannot be cancelled by this input.
-  if (live_.has_value() && live_->t <= te) {
-    committed_.push_back(*live_);
-  }
-  live_.reset();
+  queue_.commit_live(te);
   const double v_now = state_at(te);
 
   t_ref_ = te;
@@ -113,17 +106,9 @@ void SumExpChannel::on_input(double t, bool value) {
   const double hi = 64.0 * std::max(ta, tb);
   const double dt = fit::brent_root(
       [&](double x) { return shape(x, segment_rising_) - ratio; }, 0.0, hi);
-  live_ = PendingEvent{te + dt, value};
+  queue_.set_live(PendingEvent{te + dt, value});
 }
 
-void SumExpChannel::on_fire(const PendingEvent& fired) {
-  output_ = fired.value;
-  if (!committed_.empty()) {
-    committed_.pop_front();
-    return;
-  }
-  CHARLIE_ASSERT(live_.has_value());
-  live_.reset();
-}
+void SumExpChannel::on_fire(const PendingEvent& fired) { queue_.fire(fired); }
 
 }  // namespace charlie::sim

@@ -41,8 +41,10 @@ class SumExpChannel final : public SisChannel {
   void initialize(double t0, bool value) override;
   void on_input(double t, bool value) override;
   void on_fire(const PendingEvent& fired) override;
-  std::optional<PendingEvent> pending() const override;
-  bool initial_output() const override { return output_; }
+  std::optional<PendingEvent> pending() const override {
+    return queue_.pending();
+  }
+  bool initial_output() const override { return queue_.output(); }
 
  private:
   double state_at(double t) const;
@@ -53,9 +55,7 @@ class SumExpChannel final : public SisChannel {
   double v_ref_ = 0.0;
   double target_ = 0.0;
   bool segment_rising_ = false;
-  bool output_ = false;
-  PendingFifo committed_;  // decided, non-cancellable crossings
-  std::optional<PendingEvent> live_;
+  CrossingQueue queue_;  // decided crossings + the live one
 };
 
 }  // namespace charlie::sim

@@ -15,7 +15,7 @@ void SurfaceNorChannel::initialize(double t0, const std::vector<bool>& values) {
   output_ = nor_value_;
   t_last_a_ = t0 - 1.0;  // effectively -infinity on circuit time scales
   t_last_b_ = t0 - 1.0;
-  live_.reset();
+  pending_.reset();
 }
 
 void SurfaceNorChannel::on_input(double t, int port, bool value) {
@@ -32,12 +32,12 @@ void SurfaceNorChannel::on_input(double t, int port, bool value) {
 
   if (nor_new != nor_value_) {
     nor_value_ = nor_new;
-    if (live_.has_value()) {
+    if (pending_.has_value()) {
       // The pending event targeted the previous boolean value; the gate
       // output returning to its committed value annihilates both (IDM
       // cancellation).
       CHARLIE_ASSERT(nor_new == output_);
-      live_.reset();
+      pending_.reset();
       return;
     }
     if (!nor_new) {
@@ -46,12 +46,12 @@ void SurfaceNorChannel::on_input(double t, int port, bool value) {
       // asymptote. If the second input follows, the reschedule branch
       // below updates the delay. Delta = tB - tA: A first => +inf.
       const double delta = port == 0 ? 1.0 : -1.0;  // beyond the table range
-      live_ = PendingEvent{t + surface_.falling(delta), false};
+      pending_ = PendingEvent{t + surface_.falling(delta), false};
     } else {
       // Rising output: this falling input is the later one; the other
       // input's last transition was its fall.
       const double delta = port == 0 ? t_other - t : t - t_other;
-      live_ = PendingEvent{t + surface_.rising(delta), true};
+      pending_ = PendingEvent{t + surface_.rising(delta), true};
     }
     return;
   }
@@ -61,17 +61,17 @@ void SurfaceNorChannel::on_input(double t, int port, bool value) {
   // (1,1) -- now Delta is known and the delay is re-evaluated from the
   // earlier input (the paper's delta_fall(Delta) measured from
   // min(tA, tB)).
-  if (live_.has_value() && !live_->value && value) {
+  if (pending_.has_value() && !pending_->value && value) {
     const double t_first = t_other;  // the other input rose earlier
     const double delta = port == 1 ? t - t_first : t_first - t;
-    live_ = PendingEvent{t_first + surface_.falling(delta), false};
+    pending_ = PendingEvent{t_first + surface_.falling(delta), false};
   }
 }
 
 void SurfaceNorChannel::on_fire(const PendingEvent& fired) {
-  CHARLIE_ASSERT(live_.has_value());
+  CHARLIE_ASSERT(pending_.has_value());
   output_ = fired.value;
-  live_.reset();
+  pending_.reset();
 }
 
 }  // namespace charlie::sim

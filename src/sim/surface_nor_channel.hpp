@@ -28,7 +28,7 @@ class SurfaceNorChannel final : public GateChannel {
   void initialize(double t0, const std::vector<bool>& values) override;
   void on_input(double t, int port, bool value) override;
   void on_fire(const PendingEvent& fired) override;
-  std::optional<PendingEvent> pending() const override { return live_; }
+  std::optional<PendingEvent> pending() const override { return pending_; }
   bool initial_output() const override { return output_; }
 
  private:
@@ -41,7 +41,7 @@ class SurfaceNorChannel final : public GateChannel {
   double t_last_a_ = -1.0;
   double t_last_b_ = -1.0;
   bool output_ = false;
-  std::optional<PendingEvent> live_;
+  std::optional<PendingEvent> pending_;
 };
 
 }  // namespace charlie::sim

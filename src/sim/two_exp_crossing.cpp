@@ -174,6 +174,12 @@ std::optional<TwoExpCrossing> two_exp_next_crossing(const TwoExpVo& vo,
   return std::nullopt;
 }
 
+void throw_nonfinite_mode_state() {
+  ++util::RunCounters::local().nonfinite_guard_trips;
+  throw ConvergenceError(
+      "mode segment: non-finite analog state at a mode switch");
+}
+
 std::optional<ScanCrossing> scan_vo_crossing(
     const core::ModeTable& mt, double vth, double t_from, double horizon,
     const std::function<double(double)>& vo_at) {

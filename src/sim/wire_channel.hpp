@@ -24,8 +24,9 @@
 // rule).
 //
 // All drive-state math is precomputed once per WireParams in the shared
-// WireModeTables; the per-event work is the same two-exponential crossing
-// solve the gate channels use (sim/two_exp_crossing.hpp).
+// WireModeTables. The channel is a ModeSegment plus a CrossingQueue, the
+// same as HybridGateChannel (sim/two_exp_crossing.hpp): it keeps only its
+// mode choice (the drive rail) and its pure delay (the drive correction).
 #pragma once
 
 #include <memory>
@@ -48,12 +49,14 @@ class WireChannel final : public SisChannel {
   void initialize(double t0, bool value) override;
   void on_input(double t, bool value) override;
   void on_fire(const PendingEvent& fired) override;
-  std::optional<PendingEvent> pending() const override;
-  bool initial_output() const override { return output_; }
+  std::optional<PendingEvent> pending() const override {
+    return queue_.pending();
+  }
+  bool initial_output() const override { return queue_.output(); }
 
   /// Current analog state (u, V_out) at time t >= last event time, where
   /// u = (b2/b1) dV_out/dt is the scaled slope state of the collapse.
-  ode::Vec2 state_at(double t) const;
+  ode::Vec2 state_at(double t) const { return segment_.state_at(t); }
 
   /// Logic level currently driving the wire.
   bool drive_value() const { return input_; }
@@ -63,25 +66,12 @@ class WireChannel final : public SisChannel {
   }
 
  private:
-  std::optional<PendingEvent> next_crossing(double t_from) const;
-  std::optional<PendingEvent> next_crossing_scan(double t_from) const;
-  void refresh_scalar();
-
   std::shared_ptr<const wire::WireModeTables> tables_;
-  const core::ModeTable* mt_ = nullptr;  // current drive state's table
-  double vth_ = 0.0;
-  double horizon_ = 0.0;
+  ModeSegment segment_;  // current drive state's segment of (u, V_out)
   double drive_delay_ = 0.0;  // first-moment drive-shape correction
-  TwoExpVo scalar_{};
-  double t_ref_ = 0.0;  // time of the state snapshot
-  ode::Vec2 x_ref_{};   // (u, V_out) at t_ref_
   bool input_ = false;
-  bool output_ = false;
-  // Crossings before the latest input are physically decided and can no
-  // longer be cancelled; the live crossing of the current drive state can.
-  // Same commitment semantics as HybridGateChannel::on_input.
-  PendingFifo committed_;
-  std::optional<PendingEvent> live_;
+  // Same commitment semantics as HybridGateChannel.
+  CrossingQueue queue_;
 };
 
 }  // namespace charlie::sim
