@@ -174,7 +174,7 @@ std::optional<TwoExpCrossing> two_exp_next_crossing(const TwoExpVo& vo,
   return std::nullopt;
 }
 
-void throw_nonfinite_mode_state() {
+void ModeSegment::throw_nonfinite_state() {
   ++util::RunCounters::local().nonfinite_guard_trips;
   throw ConvergenceError(
       "mode segment: non-finite analog state at a mode switch");

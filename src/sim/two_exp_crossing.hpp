@@ -57,10 +57,6 @@ std::optional<ScanCrossing> scan_vo_crossing(
     const core::ModeTable& mt, double vth, double t_from, double horizon,
     const std::function<double(double)>& vo_at);
 
-/// Counts a non-finite-state guard trip and throws ConvergenceError (the
-/// cold half of ModeSegment::enter).
-[[noreturn]] void throw_nonfinite_mode_state();
-
 /// One segment of a piecewise mode trajectory: the analog state x_ref at
 /// t_ref, the mode entered there, and the scalar expansion of the output
 /// component on it. Output events are the output's crossings of vth within
@@ -92,7 +88,7 @@ class ModeSegment {
   /// kFailed result.
   void enter(double t, const ode::Vec2& x, const core::ModeTable& mt) {
     if (!std::isfinite(x.x) || !std::isfinite(x.y)) {
-      throw_nonfinite_mode_state();
+      throw_nonfinite_state();
     }
     reset(t, x, mt);
   }
@@ -130,6 +126,9 @@ class ModeSegment {
   }
 
  private:
+  // Counts the guard trip and throws (the cold half of enter()).
+  [[noreturn]] static void throw_nonfinite_state();
+
   std::optional<PendingEvent> next_crossing_scan(double t_from) const {
     const auto crossing = scan_vo_crossing(
         *mt_, vth_, t_from, horizon_,
