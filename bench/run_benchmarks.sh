@@ -3,9 +3,10 @@
 # merging their google-benchmark JSON into BENCH_runtime.json (or $1) at the
 # repo root. See bench/README.md for how to read the numbers.
 #
-# Every benchmark runs BENCH_REPETITIONS times (default 5); the ledger keeps
-# the median and coefficient-of-variation aggregates of each row, and its
-# context records the host's core count (nproc) and SIMD level.
+# Every benchmark runs 5 times; the ledger keeps the median and
+# coefficient-of-variation aggregates of each row (google-benchmark emits
+# aggregates only for two or more repetitions), and its context records the
+# host's core count (nproc) and SIMD level.
 #
 # The ledger is guarded: the script refuses to write it from a project tree
 # configured as anything but Release (debug timings are noise, not a
@@ -17,7 +18,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_runtime.json}"
-reps="${BENCH_REPETITIONS:-5}"
+reps=5
 
 # Pre-commit hygiene gate (fast): refuse to publish numbers from a tree
 # that tracks build artifacts. tools/check_tree.sh (no flag) is the full

@@ -70,7 +70,7 @@ void HybridGateChannel::on_input(double t, int port, bool value) {
   ode::Vec2 x = segment_.state_at(te);
   x.y = CHARLIE_FAULT_DOUBLE("hybrid_channel.state", x.y);
   const core::GateState next = core::gate_state_with(state_, port, value);
-  segment_.enter(te, x, tables_->state_table(next));
+  segment_.enter(te, x, tables_->state_table(next), "hybrid channel");
   state_ = next;
 
   queue_.set_live(segment_.next_crossing(te));

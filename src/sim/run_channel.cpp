@@ -62,10 +62,13 @@ waveform::DigitalTrace run_channel(
       }
     }
   }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const InputEvent& x, const InputEvent& y) {
-                     return x.t < y.t;
-                   });
+  // One trace is already in time order (transitions strictly increase).
+  if (inputs.size() > 1) {
+    std::stable_sort(events.begin(), events.end(),
+                     [](const InputEvent& x, const InputEvent& y) {
+                       return x.t < y.t;
+                     });
+  }
 
   initialize(channel, inputs, t_begin);
   waveform::DigitalTrace out(channel.initial_output(), {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "fit/brent_root.hpp"
 #include "util/diagnostics.hpp"
@@ -174,10 +175,10 @@ std::optional<TwoExpCrossing> two_exp_next_crossing(const TwoExpVo& vo,
   return std::nullopt;
 }
 
-void ModeSegment::throw_nonfinite_state() {
+void ModeSegment::throw_nonfinite_state(const char* channel) {
   ++util::RunCounters::local().nonfinite_guard_trips;
-  throw ConvergenceError(
-      "mode segment: non-finite analog state at a mode switch");
+  throw ConvergenceError(std::string(channel) +
+                         ": non-finite analog state at a mode switch");
 }
 
 std::optional<ScanCrossing> scan_vo_crossing(

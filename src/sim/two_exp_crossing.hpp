@@ -84,11 +84,12 @@ class ModeSegment {
   /// state_at(t): the analog state carries over). A non-finite state
   /// (overflowed exponential, corrupted table) would propagate NaN into
   /// every later crossing search of the channel, so it fails the run here
-  /// with ConvergenceError; the budgeted entry points turn that into a
-  /// kFailed result.
-  void enter(double t, const ode::Vec2& x, const core::ModeTable& mt) {
+  /// with ConvergenceError naming `channel` (e.g. "wire channel"); the
+  /// budgeted entry points turn that into a kFailed result.
+  void enter(double t, const ode::Vec2& x, const core::ModeTable& mt,
+             const char* channel) {
     if (!std::isfinite(x.x) || !std::isfinite(x.y)) {
-      throw_nonfinite_state();
+      throw_nonfinite_state(channel);
     }
     reset(t, x, mt);
   }
@@ -127,7 +128,7 @@ class ModeSegment {
 
  private:
   // Counts the guard trip and throws (the cold half of enter()).
-  [[noreturn]] static void throw_nonfinite_state();
+  [[noreturn]] static void throw_nonfinite_state(const char* channel);
 
   std::optional<PendingEvent> next_crossing_scan(double t_from) const {
     const auto crossing = scan_vo_crossing(

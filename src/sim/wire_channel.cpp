@@ -39,7 +39,8 @@ void WireChannel::on_input(double t, bool value) {
 
   // Analog handoff: evolve the line state to the switch instant, then flip
   // the drive rail. V_out and its slope carry over continuously.
-  segment_.enter(te, segment_.state_at(te), tables_->drive_table(value));
+  segment_.enter(te, segment_.state_at(te), tables_->drive_table(value),
+                 "wire channel");
   input_ = value;
 
   queue_.set_live(segment_.next_crossing(te));

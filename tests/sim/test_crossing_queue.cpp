@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "sim/channel.hpp"
 #include "sim/two_exp_crossing.hpp"
@@ -57,8 +58,15 @@ TEST(ModeSegment, NonFiniteStateFailsTheModeSwitch) {
   seg.reset(0.0, low.steady, low);
   const long before = util::RunCounters::local().nonfinite_guard_trips;
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(seg.enter(1e-9, {0.0, nan}, tables->drive_table(true)),
-               ConvergenceError);
+  try {
+    seg.enter(1e-9, {0.0, nan}, tables->drive_table(true), "wire channel");
+    ADD_FAILURE() << "a non-finite state entered the segment";
+  } catch (const ConvergenceError& e) {
+    // The message names the channel kind, so a failed run says whether a
+    // gate or a wire went non-finite.
+    EXPECT_EQ(std::string(e.what()),
+              "wire channel: non-finite analog state at a mode switch");
+  }
   EXPECT_EQ(util::RunCounters::local().nonfinite_guard_trips, before + 1);
   EXPECT_EQ(seg.t_ref(), 0.0);  // the failed switch changed nothing
 }
