@@ -14,6 +14,10 @@
 //                         [grid=N] [deadline=T] [trace_out=F] \
 //                         [metrics_out=F] [vcd_out=F]
 //
+// The numeric positionals are parsed strictly: a non-number, a negative
+// value or n_runs = 0 prints the usage line and exits 2 (n_threads = 0 is
+// the hardware concurrency, max_events = 0 unlimited).
+//
 // Observability knobs (docs/observability.md): trace_out=F arms the
 // execution tracer around the batch and writes Chrome trace-event JSON to
 // F (load in Perfetto); metrics_out=F writes the batch's aggregated
@@ -50,6 +54,8 @@
 #include "sim/batch_runner.hpp"
 #include "sim/circuit_builder.hpp"
 #include "sim/run_guard.hpp"
+#include "util/csv.hpp"
+#include "util/error.hpp"
 #include "util/units.hpp"
 #include "waveform/vcd.hpp"
 
@@ -65,6 +71,28 @@ NOR2(n1, b, n0)
 NOR2(n2, n0, n1)
 NOR2(out, n1, n2)
 )";
+
+constexpr const char* kUsage =
+    "usage: example_monte_carlo [n_runs] [n_threads] [netlist_file] "
+    "[max_events] [key=value ...]\n";
+
+// Numeric positional `index` (strict whole-field parse), or `fallback`
+// when absent. A non-number, a negative value, or 0 where `min` is 1
+// prints the usage line and exits 2.
+long count_arg(const std::vector<std::string>& positional, std::size_t index,
+               const char* name, long min, long fallback) {
+  if (index >= positional.size()) return fallback;
+  try {
+    const long value = util::parse_long_field(positional[index], name);
+    if (value >= min) return value;
+    std::fprintf(stderr, "%s must be at least %ld, got %ld\n", name, min,
+                 value);
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+  }
+  std::fputs(kUsage, stderr);
+  std::exit(2);
+}
 
 void print_histogram(const char* title, const sim::Histogram& h) {
   std::printf("%s: n=%llu mean=%s\n", title,
@@ -135,16 +163,11 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const std::size_t n_runs =
-      !positional.empty()
-          ? static_cast<std::size_t>(std::atoi(positional[0].c_str()))
-          : 64;
-  const std::size_t n_threads =
-      positional.size() > 1
-          ? static_cast<std::size_t>(std::atoi(positional[1].c_str()))
-          : 0;
-  const long max_events =
-      positional.size() > 3 ? std::atol(positional[3].c_str()) : 0;
+  const auto n_runs =
+      static_cast<std::size_t>(count_arg(positional, 0, "n_runs", 1, 64));
+  const auto n_threads =
+      static_cast<std::size_t>(count_arg(positional, 1, "n_threads", 0, 0));
+  const long max_events = count_arg(positional, 3, "max_events", 0, 0);
 
   // Characterize-once / instantiate-many: the reference library derives
   // each cell's mode tables a single time; every worker clone below shares

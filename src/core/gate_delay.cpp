@@ -2,70 +2,45 @@
 
 #include <algorithm>
 
-#include "fit/brent_root.hpp"
+#include "core/two_exp_crossing.hpp"
 #include "util/error.hpp"
 
 namespace charlie::core {
 
 double mode_table_crossing(const ModeTable& mt, const ode::Vec2& x_ref,
                            double tau_end, double vth, bool rising) {
-  const TwoExpVo sc = two_exp_expand(mt, x_ref);
-  auto vo = [&](double tau) {
-    return sc.valid ? sc.value(tau) : mode_state_at(mt, x_ref, tau).y;
-  };
-  constexpr int kSteps = 256;
-  const double step = tau_end / kSteps;
-  if (!(step > 0.0)) return -1.0;
-  double a = 0.0;
-  double fa = vo(0.0) - vth;
-  for (int k = 1; k <= kSteps; ++k) {
-    const double b = k == kSteps ? tau_end : k * step;
-    const double fb = vo(b) - vth;
-    const bool matches = rising ? (fa < 0.0 && fb >= 0.0)
-                                : (fa > 0.0 && fb <= 0.0);
-    if (matches) {
-      if (fb == 0.0) return b;
-      return fit::brent_root([&](double tau) { return vo(tau) - vth; }, a, b);
-    }
-    a = b;
-    fa = fb;
-  }
-  return -1.0;
+  ModeSegment segment;
+  segment.bind(mt, vth, tau_end);
+  segment.reset(0.0, x_ref, mt);
+  return segment.first_crossing(rising, tau_end).value_or(-1.0);
 }
 
 double gate_output_crossing(const GateModeTables& tables, GateState s0,
                             double v_int_hold,
                             std::span<const GateInputEvent> events,
                             bool rising) {
-  const GateParams& p = tables.gate_params();
   GateState s = s0;
-  ode::Vec2 x = gate_mode_steady_state(p, s, v_int_hold);
-  double t_seg = 0.0;
-  const double vth = tables.vth();
-
-  auto search_segment = [&](const ModeTable& mt, double tau_end) {
-    const double tau = mode_table_crossing(mt, x, tau_end, vth, rising);
-    return tau >= 0.0 ? t_seg + tau : -1.0;
-  };
-
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const GateInputEvent& ev = events[i];
-    CHARLIE_ASSERT_MSG(ev.t >= t_seg, "gate_output_crossing: unsorted events");
-    const ModeTable& mt = tables.state_table(s);
-    const double t_cross = search_segment(mt, ev.t - t_seg);
-    if (t_cross >= 0.0) return t_cross;
-    x = mode_state_at(mt, x, ev.t - t_seg);
-    t_seg = ev.t;
+  ModeSegment segment;
+  segment.bind(tables.state_table(s), tables.vth(), tables.horizon());
+  segment.reset(0.0, gate_mode_steady_state(tables.gate_params(), s,
+                                            v_int_hold),
+                tables.state_table(s));
+  for (const GateInputEvent& ev : events) {
+    const double window = ev.t - segment.t_ref();
+    CHARLIE_ASSERT_MSG(window >= 0.0, "gate_output_crossing: unsorted events");
+    const auto t_cross = segment.first_crossing(rising, window);
+    if (t_cross.has_value()) return *t_cross;
     s = gate_state_with(s, ev.port, ev.value);
+    segment.enter(ev.t, segment.state_at(ev.t), tables.state_table(s),
+                  "gate_output_crossing");
   }
-  const ModeTable& mt = tables.state_table(s);
-  const double t_cross = search_segment(mt, tables.horizon());
-  if (t_cross < 0.0) {
+  const auto t_cross = segment.first_crossing(rising, tables.horizon());
+  if (!t_cross.has_value()) {
     throw ConvergenceError(
         "gate_output_crossing: output never crossed V_th within the search "
         "horizon");
   }
-  return t_cross;
+  return *t_cross;
 }
 
 GateSisDelays gate_characteristic_delays(const GateModeTables& tables) {

@@ -1,11 +1,11 @@
 // Closed-form delay evaluation of the generalized N-input hybrid gate.
 //
-// Drives the precomputed mode tables through a scripted sequence of input
-// switches and root-finds the output V_th crossing, for arbitrary arity and
-// both topologies. Used by the paper's NOR2 delay model (core::NorDelayModel
-// is a typed view over it), the gate parametrization fit
-// (gate_parametrize.hpp), and tests that validate the event-driven channel
-// against an independent evaluation; not an event-loop hot path.
+// Walks a core::ModeSegment (core/two_exp_crossing.hpp, the event
+// channels' own crossing search) through a scripted sequence of input
+// switches, for arbitrary arity and both topologies. Used by the paper's
+// NOR2 delay model (core::NorDelayModel is a typed view over it), the gate
+// parametrization fit (gate_parametrize.hpp), the STA arc envelopes and
+// the wire step delays; not an event-loop hot path.
 #pragma once
 
 #include <span>
@@ -23,11 +23,8 @@ struct GateInputEvent {
 
 /// First `rising`-direction V_th crossing of the mode's output component on
 /// the trajectory entered at `x_ref`, searched over [0, tau_end]; negative
-/// when the segment has no such crossing. Dense scan + Brent refinement on
-/// the two-exponential scalar expansion (core::two_exp_expand; generic
-/// state advance when the spectrum is defective). Shared by the gate
-/// characteristic-delay evaluation below and the wire-arc extraction of the
-/// static timing analyzer (wire::WireModeTables::step_delay).
+/// when there is none (ModeSegment::first_crossing). Used by the wire-arc
+/// extraction of the static timing analyzer (WireModeTables::step_delay).
 double mode_table_crossing(const ModeTable& mt, const ode::Vec2& x_ref,
                            double tau_end, double vth, bool rising);
 

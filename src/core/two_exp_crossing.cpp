@@ -1,4 +1,4 @@
-#include "sim/two_exp_crossing.hpp"
+#include "core/two_exp_crossing.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -9,7 +9,7 @@
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 
-namespace charlie::sim {
+namespace charlie::core {
 
 namespace {
 
@@ -122,10 +122,8 @@ std::optional<TwoExpCrossing> two_exp_next_crossing(const TwoExpVo& vo,
     if (f0 != 0.0 && f0 * f_star < 0.0) {
       return found(tau0, tau_star, f0, 0.5 * (tau0 + tau_star), f_star > 0.0);
     }
-    if (f_star == 0.0) {
-      // Tangent touch: not a crossing; continue past it.
-    }
-    // No crossing before the extremum; check the tail beyond it.
+    // No crossing before the extremum (a tangent touch, f_star == 0, is
+    // none); check the tail beyond it.
     if (f_star * fd < 0.0) {
       // The tail decays monotonically from f_star toward fd: bracket by
       // expansion (the slope vanishes at the extremum, so the analytic
@@ -135,7 +133,6 @@ std::optional<TwoExpCrossing> two_exp_next_crossing(const TwoExpVo& vo,
         return found(bracket->a, bracket->b, bracket->fa,
                      0.5 * (bracket->a + bracket->b), fd > 0.0);
       }
-      return std::nullopt;
     }
     return std::nullopt;
   }
@@ -171,27 +168,28 @@ std::optional<TwoExpCrossing> two_exp_next_crossing(const TwoExpVo& vo,
       return found(bracket->a, bracket->b, bracket->fa,
                    0.5 * (bracket->a + bracket->b), fd > 0.0);
     }
+  } else if (f0 != 0.0 && tau_star >= tau_end) {
+    // The extremum lies beyond a (short) window: f is monotone on it but
+    // turns back before its asymptote, so f(tau_end), not fd, decides.
+    const double fend = f(tau_end);
+    if (fend == 0.0) return TwoExpCrossing{tau_end, f0 < 0.0};
+    if ((fend < 0.0) != (f0 < 0.0)) {
+      return found(tau0, tau_end, f0, 0.5 * (tau0 + tau_end), f0 < 0.0);
+    }
   }
   return std::nullopt;
 }
 
-void ModeSegment::throw_nonfinite_state(const char* channel) {
-  ++util::RunCounters::local().nonfinite_guard_trips;
-  throw ConvergenceError(std::string(channel) +
-                         ": non-finite analog state at a mode switch");
-}
-
-std::optional<ScanCrossing> scan_vo_crossing(
-    const core::ModeTable& mt, double vth, double t_from, double horizon,
-    const std::function<double(double)>& vo_at) {
-  // Every scan search is a fallback off the analytic two-exp path
-  // (defective/complex spectrum or a degraded mode table); count it so a
-  // run that silently lost the fast path shows up in its diagnostics.
+std::optional<TwoExpCrossing> ModeSegment::scan_vo_crossing(
+    const ModeTable& mt, const ode::Vec2& x_ref, double vth, double tau0,
+    double horizon) {
+  // Every scan is a fallback off the analytic path (defective/complex
+  // spectrum or a degraded mode table); count it so a run that silently
+  // lost the fast path shows up in its diagnostics. The samples come at a
+  // fraction of the mode's fastest rate, never more than ~4k per window.
   ++util::RunCounters::local().scan_fallbacks;
-  auto f = [&](double t) { return vo_at(t) - vth; };
+  auto f = [&](double tau) { return mode_state_at(mt, x_ref, tau).y - vth; };
 
-  // Scan at a fraction of the fastest rate of the mode, but never more
-  // than ~4k evaluations per search window.
   const auto& eig = mt.ode.eigen();
   const double fastest =
       eig.is_real()
@@ -200,15 +198,15 @@ std::optional<ScanCrossing> scan_vo_crossing(
   double step = fastest > 0.0 ? 0.125 / fastest : horizon / 64.0;
   step = std::max(step, horizon / 4096.0);
 
-  double a = t_from;
+  double a = tau0;
   double fa = f(a);
-  const double t_end = t_from + horizon;
-  while (a < t_end) {
-    const double b = std::min(a + step, t_end);
+  const double tau_end = tau0 + horizon;
+  while (a < tau_end) {
+    const double b = std::min(a + step, tau_end);
     const double fb = f(b);
     if (fa != 0.0 && fa * fb <= 0.0) {
       const double tc = fb == 0.0 ? b : fit::brent_root(f, a, b);
-      return ScanCrossing{tc, fb > 0.0 || (fb == 0.0 && fa < 0.0)};
+      return TwoExpCrossing{tc, fb > 0.0 || (fb == 0.0 && fa < 0.0)};
     }
     a = b;
     fa = fb;
@@ -216,4 +214,22 @@ std::optional<ScanCrossing> scan_vo_crossing(
   return std::nullopt;
 }
 
-}  // namespace charlie::sim
+std::optional<double> ModeSegment::first_crossing(bool rising,
+                                                  double window) const {
+  if (!(window > 0.0)) return std::nullopt;
+  auto crossing = search(0.0, window);
+  if (crossing.has_value() && crossing->rising != rising) {
+    const double tau0 = crossing->tau + 1e-18;  // just past the wrong way
+    crossing = tau0 < window ? search(tau0, window - tau0) : std::nullopt;
+  }
+  if (!crossing.has_value() || crossing->rising != rising) return std::nullopt;
+  return t_ref_ + crossing->tau;
+}
+
+void ModeSegment::throw_nonfinite_state(const char* owner) {
+  ++util::RunCounters::local().nonfinite_guard_trips;
+  throw ConvergenceError(std::string(owner) +
+                         ": non-finite analog state at a mode switch");
+}
+
+}  // namespace charlie::core

@@ -64,7 +64,7 @@ void HybridGateChannel::on_input(double t, int port, bool value) {
   // Crossings up to the effective switch time have physically happened --
   // the new input cannot cancel them (the pure delay shifts the *effect*
   // of the input past them). Only crossings after te are recomputed.
-  segment_.commit_crossings(queue_, te);
+  commit_crossings(segment_, queue_, te);
 
   // Evolve the analog state to the switch instant, then change mode.
   ode::Vec2 x = segment_.state_at(te);
@@ -73,14 +73,14 @@ void HybridGateChannel::on_input(double t, int port, bool value) {
   segment_.enter(te, x, tables_->state_table(next), "hybrid channel");
   state_ = next;
 
-  queue_.set_live(segment_.next_crossing(te));
+  queue_.set_live(next_crossing_event(segment_, te));
 }
 
 void HybridGateChannel::on_fire(const PendingEvent& fired) {
   // The waveform may cross again within the same mode (non-monotone V_O);
   // keep looking just past the crossing.
   if (queue_.fire(fired)) {
-    queue_.set_live(segment_.next_crossing(fired.t + 1e-18));
+    queue_.set_live(next_crossing_event(segment_, fired.t + 1e-18));
   }
 }
 

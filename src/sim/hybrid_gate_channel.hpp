@@ -72,7 +72,7 @@ class HybridGateChannel : public GateChannel {
   // Current mode segment of (V_int, V_O); the crossing search runs on its
   // scalar two-exponential expansion (hot path for event-driven
   // simulation).
-  ModeSegment segment_;
+  core::ModeSegment segment_;
   double delta_min_ = 0.0;
   int n_inputs_ = 0;
   core::GateState state_ = 0;  // logical input levels (post pure delay)

@@ -35,7 +35,7 @@ void WireChannel::on_input(double t, bool value) {
 
   // Crossings up to the effective switch instant have physically happened
   // and can no longer be cancelled.
-  segment_.commit_crossings(queue_, te);
+  commit_crossings(segment_, queue_, te);
 
   // Analog handoff: evolve the line state to the switch instant, then flip
   // the drive rail. V_out and its slope carry over continuously.
@@ -43,14 +43,14 @@ void WireChannel::on_input(double t, bool value) {
                  "wire channel");
   input_ = value;
 
-  queue_.set_live(segment_.next_crossing(te));
+  queue_.set_live(next_crossing_event(segment_, te));
 }
 
 void WireChannel::on_fire(const PendingEvent& fired) {
   // The waveform may cross again within the same drive state (the slope
   // state can carry V_out back through the threshold); keep looking.
   if (queue_.fire(fired)) {
-    queue_.set_live(segment_.next_crossing(fired.t + 1e-18));
+    queue_.set_live(next_crossing_event(segment_, fired.t + 1e-18));
   }
 }
 

@@ -24,9 +24,10 @@
 // rule).
 //
 // All drive-state math is precomputed once per WireParams in the shared
-// WireModeTables. The channel is a ModeSegment plus a CrossingQueue, the
-// same as HybridGateChannel (sim/two_exp_crossing.hpp): it keeps only its
-// mode choice (the drive rail) and its pure delay (the drive correction).
+// WireModeTables. The channel is a core::ModeSegment plus a CrossingQueue,
+// the same as HybridGateChannel (sim/two_exp_crossing.hpp): it keeps only
+// its mode choice (the drive rail) and its pure delay (the drive
+// correction).
 #pragma once
 
 #include <memory>
@@ -67,7 +68,7 @@ class WireChannel final : public SisChannel {
 
  private:
   std::shared_ptr<const wire::WireModeTables> tables_;
-  ModeSegment segment_;  // current drive state's segment of (u, V_out)
+  core::ModeSegment segment_;  // current drive state's segment of (u, V_out)
   double drive_delay_ = 0.0;  // first-moment drive-shape correction
   bool input_ = false;
   // Same commitment semantics as HybridGateChannel.

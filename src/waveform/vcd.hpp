@@ -7,14 +7,12 @@
 // below the engine's crossing-solve resolution), digital signals become
 // 1-bit wires, analog series become $var real dumps.
 //
-// parse_vcd() is the minimal inverse for the digital subset this writer
-// emits (single flat scope, 1-bit wires, real vars ignored): enough to
-// round-trip our own output and diff edges against the source traces,
-// which is how tests/waveform/test_vcd.cpp locks the format.
+// The tests read the output back with a minimal parser
+// (tests/support/vcd_parse.hpp), which is how tests/waveform/test_vcd.cpp
+// locks the format.
 #pragma once
 
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,16 +50,5 @@ void write_vcd(const std::string& path,
                const std::vector<VcdDigitalSignal>& digital,
                const std::vector<VcdAnalogSignal>& analog = {},
                const VcdOptions& options = {});
-
-struct VcdData {
-  double timescale = 1e-15;  // seconds per tick
-  /// Digital signals by name; transition times are tick * timescale.
-  std::map<std::string, DigitalTrace> digital;
-};
-
-/// Parse the digital subset write_vcd emits. Throws ConfigError on
-/// structurally invalid input (unknown id codes, missing header sections).
-VcdData parse_vcd(std::istream& is);
-VcdData parse_vcd_file(const std::string& path);
 
 }  // namespace charlie::waveform

@@ -1,6 +1,6 @@
 // The shared event bookkeeping of the crossing channels: sim::CrossingQueue
 // (committed FIFO + live crossing + output level) and the non-finite guard
-// of sim::ModeSegment.
+// of core::ModeSegment.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -52,7 +52,7 @@ TEST(ModeSegment, NonFiniteStateFailsTheModeSwitch) {
   // The guard lives in the shared segment, so wires have it too.
   const auto tables =
       wire::WireModeTables::make(wire::WireParams::reference());
-  ModeSegment seg;
+  core::ModeSegment seg;
   const core::ModeTable& low = tables->drive_table(false);
   seg.bind(low, tables->vth(), tables->horizon());
   seg.reset(0.0, low.steady, low);

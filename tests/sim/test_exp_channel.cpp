@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "sim/involution.hpp"
+#include "support/involution.hpp"
 #include "util/error.hpp"
 
 namespace charlie::sim {

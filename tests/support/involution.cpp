@@ -1,4 +1,4 @@
-#include "sim/involution.hpp"
+#include "support/involution.hpp"
 
 #include <cmath>
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "support/vcd_parse.hpp"
 #include "util/error.hpp"
 
 namespace charlie::waveform {
