@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "core/delay_model.hpp"
 #include "core/gate_parametrize.hpp"
@@ -139,6 +140,87 @@ TEST(GateParametrize, RejectsBadTargets) {
   t.fall_all = 20e-12;
   t.rise_all = 40e-12;
   EXPECT_THROW(fit_gate_params(GateTopology::kNorLike, t), ConfigError);
+}
+
+// Pins: every value the fit reports, compared bit for bit against the
+// values it produced before the NOR2 and N-input fits were merged into one
+// pipeline.
+struct GateFitPin {
+  std::vector<double> r_series, r_parallel;
+  double c_int, c_out, delta_min;
+  std::vector<double> fall, rise;
+  double fall_all, rise_all;
+  double rms_error, objective;
+  int evaluations, swallowed_fallbacks;
+};
+
+void expect_fit_eq(const GateFitResult& fit, const GateFitPin& want) {
+  EXPECT_EQ(fit.params.r_series, want.r_series);
+  EXPECT_EQ(fit.params.r_parallel, want.r_parallel);
+  EXPECT_EQ(fit.params.c_int, want.c_int);
+  EXPECT_EQ(fit.params.c_out, want.c_out);
+  EXPECT_EQ(fit.params.vdd, 0.8);
+  EXPECT_EQ(fit.params.delta_min, want.delta_min);
+  EXPECT_EQ(fit.achieved.fall, want.fall);
+  EXPECT_EQ(fit.achieved.rise, want.rise);
+  EXPECT_EQ(fit.achieved.fall_all, want.fall_all);
+  EXPECT_EQ(fit.achieved.rise_all, want.rise_all);
+  EXPECT_EQ(fit.rms_error, want.rms_error);
+  EXPECT_EQ(fit.objective, want.objective);
+  EXPECT_EQ(fit.evaluations, want.evaluations);
+  EXPECT_EQ(fit.swallowed_fallbacks, want.swallowed_fallbacks);
+}
+
+TEST(GateParametrize, PinnedNor3RatioRuleFit) {
+  GateTargets t;
+  t.fall = {39.7e-12, 40.6e-12, 38.9e-12};
+  t.rise = {75.8e-12, 75.8e-12, 69.0e-12};
+  t.fall_all = 24.7e-12;
+  t.rise_all = 75.8e-12;
+  GateFitOptions opts;
+  opts.nelder_mead_evaluations = 1500;
+  expect_fit_eq(
+      fit_gate_params(GateTopology::kNorLike, t, opts),
+      {{998.74232593782631, 99009.938005399148, 11597.566491761721},
+       {44365.849147808214, 46061.513706922276, 45892.526179517801},
+       5.1965744248350686e-17,
+       7.0962094813533695e-16,
+       1.6749999999999997e-11,
+       {4.0156798819445259e-11, 4.1051961749352925e-11,
+        3.9323237598271911e-11},
+       {7.5406276535065447e-11, 7.5406276535065447e-11,
+        7.0041288529814267e-11},
+       2.4198088617770676e-11,
+       7.5406276535065447e-11,
+       5.4695932062746173e-13,
+       0.005636923340431468,
+       1501,
+       0});
+}
+
+TEST(GateParametrize, PinnedNand2RatioRuleFit) {
+  GateTargets t;
+  t.fall = {57.6e-12, 60.6e-12};
+  t.rise = {33.9e-12, 39.0e-12};
+  t.fall_all = 60.6e-12;
+  t.rise_all = 26.7e-12;
+  GateFitOptions opts;
+  opts.nelder_mead_evaluations = 1500;
+  expect_fit_eq(
+      fit_gate_params(GateTopology::kNandLike, t, opts),
+      {{22018.199073600241, 290089.63036753982},
+       {142301.29213199569, 173998.7001660286},
+       4.9953175294402318e-18,
+       2.0625214789102485e-16,
+       1.4399999999999997e-11,
+       {5.8589831400765789e-11, 6.0055135356528531e-11},
+       {3.4743833116531263e-11, 3.9877053317121887e-11},
+       6.0055135356528531e-11,
+       2.5591276019177936e-11,
+       8.4499180238941172e-13,
+       0.012072210732335551,
+       989,
+       0});
 }
 
 }  // namespace
