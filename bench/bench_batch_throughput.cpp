@@ -62,7 +62,7 @@ sim::BatchConfig batch_config(std::size_t n_runs, std::size_t n_threads) {
 void BM_BatchThroughput(benchmark::State& state) {
   const auto n_threads = static_cast<std::size_t>(state.range(0));
   auto factory = mesh_factory(4);
-  sim::BatchRunner runner(factory, "out", batch_config(16, n_threads));
+  sim::BatchRunner runner(factory, {"out"}, batch_config(16, n_threads));
   long long events = 0;
   for (auto _ : state) {
     const auto result = runner.run();

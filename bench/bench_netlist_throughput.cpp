@@ -63,7 +63,7 @@ void BM_NetlistBatchThroughput(benchmark::State& state) {
   const auto desc = cell::parse_netlist(kMixedTree);
   const sim::CircuitBuilder builder(shared_library());
   auto factory = [&builder, &desc] { return builder.build(desc); };
-  sim::BatchRunner runner(factory, "out", batch_config(16, n_threads));
+  sim::BatchRunner runner(factory, {"out"}, batch_config(16, n_threads));
   long long events = 0;
   for (auto _ : state) {
     const auto result = runner.run();

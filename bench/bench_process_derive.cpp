@@ -127,7 +127,7 @@ void BM_StatBatchThroughput(benchmark::State& state) {
   config.base_seed = 7;
   config.n_threads = n_threads;
   config.variation = bench_variation();
-  sim::BatchRunner runner(factory, "out", config);
+  sim::BatchRunner runner(factory, {"out"}, config);
   long long events = 0;
   for (auto _ : state) {
     const auto result = runner.run();

@@ -41,8 +41,9 @@ void report_gate_accuracy(const charlie::spice::Technology& tech,
   targets.rise = measured.rise;
   targets.fall_all = measured.fall_all;
   targets.rise_all = measured.rise_all;
-  core::GateFitOptions fit_opts;
+  core::FitOptions fit_opts;
   fit_opts.vdd = tech.vdd;
+  fit_opts.nelder_mead_evaluations = 2500;
   const auto fit = core::fit_gate_params(topology, targets, fit_opts);
 
   sim::SisGateDelays sis;

@@ -16,7 +16,9 @@
 //
 // The numeric positionals are parsed strictly: a non-number, a negative
 // value or n_runs = 0 prints the usage line and exits 2 (n_threads = 0 is
-// the hardware concurrency, max_events = 0 unlimited).
+// the hardware concurrency, max_events = 0 unlimited). A numeric
+// key=value knob whose value is not a number (sigma_vdd=abc) prints the
+// knob's name and exits 1.
 //
 // Observability knobs (docs/observability.md): trace_out=F arms the
 // execution tracer around the batch and writes Chrome trace-event JSON to
@@ -147,7 +149,13 @@ int main(int argc, char** argv) {
       vcd_out = arg.substr(eq + 1);
       continue;
     }
-    const double value = std::atof(arg.c_str() + eq + 1);
+    const auto parsed = util::try_parse_double_field(arg.substr(eq + 1));
+    if (!parsed) {
+      std::fprintf(stderr, "knob \"%s\": \"%s\" is not a number\n",
+                   key.c_str(), arg.c_str() + eq + 1);
+      return 1;
+    }
+    const double value = *parsed;
     if (key == "sigma_vdd") {
       variation.vdd_sigma = value;
     } else if (key == "sigma_vth") {
@@ -238,8 +246,8 @@ int main(int argc, char** argv) {
                 units::format_time(agg.pulse_width.mean()).c_str(),
                 units::format_time(agg.response_delay.mean()).c_str());
   }
-  print_histogram("output pulse width", result.pulse_width);
-  print_histogram("response delay", result.response_delay);
+  print_histogram("output pulse width", result.nets.front().pulse_width);
+  print_histogram("response delay", result.nets.front().response_delay);
 
   // Statistical timing report (variation mode): the critical-delay
   // distribution across process samples.
@@ -249,7 +257,7 @@ int main(int argc, char** argv) {
                 "(grid %d^axis, clamp %.1f sigma)\n",
                 variation.vdd_sigma, variation.vth_sigma,
                 variation.drive_sigma, variation.grid_levels,
-                variation.max_sigma);
+                sim::ProcessVariation::kMaxSigma);
     std::printf("critical delay  : n=%zu mean=%s stddev=%s min=%s max=%s\n",
                 st.n_samples, units::format_time(st.mean).c_str(),
                 units::format_time(st.stddev).c_str(),

@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
   targets.rise_plus_inf =
       cli.get_double("--rise-plus-inf-ps", 53.0) * units::ps;
   const double vdd = cli.get_double("--vdd", 0.8);
-  const bool fit_dmin = cli.has_flag("--fit-delta-min");
   cli.finish();
 
   std::cout << "Target characteristic delays:\n"
@@ -56,7 +55,6 @@ int main(int argc, char** argv) {
 
   core::FitOptions opts;
   opts.vdd = vdd;
-  opts.fit_delta_min = fit_dmin;
   std::cout << "Fitting (Nelder-Mead + Levenberg-Marquardt in log space)...\n";
   const auto fit = core::fit_nor_params(targets, opts);
 

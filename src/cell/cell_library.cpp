@@ -230,7 +230,7 @@ CellLibrary CellLibrary::characterize(const spice::Technology& tech) {
         targets.rise = measured.rise;
         targets.fall_all = measured.fall_all;
         targets.rise_all = measured.rise_all;
-        core::GateFitOptions opts;
+        core::FitOptions opts;
         opts.vdd = tech.vdd;
         opts.nelder_mead_evaluations = 1500;
         core::GateFitResult fit;

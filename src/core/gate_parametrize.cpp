@@ -4,16 +4,112 @@
 #include <cmath>
 
 #include "core/charlie_delays.hpp"
-#include "fit/nelder_mead.hpp"
 #include "fit/param_transform.hpp"
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
 
 namespace charlie::core {
+namespace fit_pipeline {
+namespace {
+
+// Soft box penalty keeping the fit inside a physically plausible region
+// (transistor on-resistances of kOhms to a few hundred kOhms, node
+// capacitances of attofarads to femtofarads). Without it the delta_min = 0
+// fit drifts to MOhm/1-aF corners whose stiff spectra are numerically
+// hostile and physically meaningless.
+double box_penalty(const std::vector<double>& values) {
+  auto outside = [](double v, double lo, double hi) {
+    if (v < lo) return std::log(lo / v);
+    if (v > hi) return std::log(v / hi);
+    return 0.0;
+  };
+  const std::size_t n_r = values.size() - 2;
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n_r; ++i) acc += outside(values[i], 1e3, 400e3);
+  acc += outside(values[n_r], 5e-18, 5e-15);
+  acc += outside(values[n_r + 1], 50e-18, 50e-15);
+  return acc * acc;
+}
+
+}  // namespace
+
+double choose_delta_min(const FitOptions& options,
+                        const std::vector<double>& measured, double sis,
+                        double simultaneous, int n_inputs) {
+  const double cap = 0.9 * *std::min_element(measured.begin(), measured.end());
+  if (options.forced_delta_min >= 0.0) {
+    return std::min(options.forced_delta_min, cap);
+  }
+  return std::clamp(delta_min_for_ratio(sis, simultaneous, double(n_inputs)),
+                    0.0, cap);
+}
+
+std::vector<double> strip_delta_min(const std::vector<double>& measured,
+                                    double delta_min) {
+  std::vector<double> corrected(measured.size());
+  for (std::size_t i = 0; i < measured.size(); ++i) {
+    corrected[i] = std::max(measured[i] - delta_min, 0.05 * measured[i]);
+  }
+  return corrected;
+}
+
+std::optional<std::vector<double>> feasible_delays(
+    const DelayModel& model, const std::vector<double>& values) {
+  try {
+    return model(values);
+  } catch (const ConvergenceError&) {
+    ++util::RunCounters::local().fit_fallbacks;
+  } catch (const ConfigError&) {
+    ++util::RunCounters::local().fit_fallbacks;
+  }
+  return std::nullopt;
+}
+
+fit::NelderMeadResult nelder_mead_fit(const DelayModel& model,
+                                      const std::vector<double>& seed,
+                                      const std::vector<double>& corrected,
+                                      int max_evaluations) {
+  auto objective = [&](const std::vector<double>& log_x) {
+    const auto x = fit::from_log_space(log_x);
+    const auto achieved = feasible_delays(model, x);
+    if (!achieved) return 1e6;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < corrected.size(); ++i) {
+      const double rel = ((*achieved)[i] - corrected[i]) / corrected[i];
+      acc += rel * rel;
+    }
+    return acc + 0.1 * box_penalty(x);
+  };
+  fit::NelderMeadOptions nm;
+  nm.max_evaluations = max_evaluations;
+  nm.initial_step = 0.25;
+  return fit::nelder_mead(objective, fit::to_log_space(seed), nm);
+}
+
+double rms_error(const std::vector<double>& achieved,
+                 const std::vector<double>& measured) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < achieved.size(); ++i) {
+    const double e = achieved[i] - measured[i];
+    acc += e * e;
+  }
+  return std::sqrt(acc / static_cast<double>(achieved.size()));
+}
+
+FallbackTally::FallbackTally()
+    : before_(util::RunCounters::local().fit_fallbacks) {}
+
+int FallbackTally::swallowed() const {
+  return static_cast<int>(util::RunCounters::local().fit_fallbacks - before_);
+}
+
+}  // namespace fit_pipeline
+
 namespace {
 
 constexpr double kLn2 = 0.6931471805599453;
 
+// Flat target order: fall[0..n), rise[0..n), fall_all, rise_all.
 std::vector<double> to_vector(const GateTargets& t) {
   std::vector<double> v;
   v.reserve(t.fall.size() + t.rise.size() + 2);
@@ -21,16 +117,6 @@ std::vector<double> to_vector(const GateTargets& t) {
   v.insert(v.end(), t.rise.begin(), t.rise.end());
   v.push_back(t.fall_all);
   v.push_back(t.rise_all);
-  return v;
-}
-
-std::vector<double> to_vector(const GateSisDelays& d) {
-  std::vector<double> v;
-  v.reserve(d.fall.size() + d.rise.size() + 2);
-  v.insert(v.end(), d.fall.begin(), d.fall.end());
-  v.insert(v.end(), d.rise.begin(), d.rise.end());
-  v.push_back(d.fall_all);
-  v.push_back(d.rise_all);
   return v;
 }
 
@@ -62,133 +148,50 @@ GateParams params_from_vector(GateTopology topology, int n,
   return p;
 }
 
-// Same plausibility box as the NOR2 fit: kOhm..hundreds-of-kOhm devices,
-// aF..fF nodes; keeps the optimizer out of numerically hostile corners.
-double box_penalty(const GateParams& p) {
-  auto outside = [](double v, double lo, double hi) {
-    if (v < lo) return std::log(lo / v);
-    if (v > hi) return std::log(v / hi);
-    return 0.0;
-  };
-  double acc = 0.0;
-  for (double r : p.r_series) acc += outside(r, 1e3, 400e3);
-  for (double r : p.r_parallel) acc += outside(r, 1e3, 400e3);
-  acc += outside(p.c_int, 5e-18, 5e-15);
-  acc += outside(p.c_out, 50e-18, 50e-15);
-  return acc * acc;
-}
-
-GateSisDelays with_delta(const GateSisDelays& raw, double delta_min) {
-  GateSisDelays out = raw;
-  for (double& v : out.fall) v += delta_min;
-  for (double& v : out.rise) v += delta_min;
-  out.fall_all += delta_min;
-  out.rise_all += delta_min;
-  return out;
-}
-
 }  // namespace
 
 GateFitResult fit_gate_params(GateTopology topology,
                               const GateTargets& measured,
-                              const GateFitOptions& options) {
+                              const FitOptions& options) {
   check_targets(measured);
-  const long fallbacks_before = util::RunCounters::local().fit_fallbacks;
+  const fit_pipeline::FallbackTally tally;
   const int n = static_cast<int>(measured.fall.size());
   const auto measured_vec = to_vector(measured);
-  const double smallest_target =
-      *std::min_element(measured_vec.begin(), measured_vec.end());
 
-  // delta_min via the paper's ratio rule on the parallel-network direction
-  // (falling for NOR-like, rising for NAND-like): n equal parallel devices
-  // can speed up the simultaneous transition at most n-fold over the
-  // slowest SIS one.
-  const double ratio =
-      options.target_ratio > 0.0 ? options.target_ratio : double(n);
-  double delta_min;
-  if (options.forced_delta_min >= 0.0) {
-    delta_min = std::min(options.forced_delta_min, 0.9 * smallest_target);
-  } else {
-    const bool nor_like = topology == GateTopology::kNorLike;
-    const auto& sis = nor_like ? measured.fall : measured.rise;
-    const double sis_max = *std::max_element(sis.begin(), sis.end());
-    const double simultaneous =
-        nor_like ? measured.fall_all : measured.rise_all;
-    delta_min = delta_min_for_ratio(sis_max, simultaneous, ratio);
-    delta_min = std::clamp(delta_min, 0.0, 0.9 * smallest_target);
-  }
-
-  // Targets with the pure delay stripped (floored so a large delta_min can
-  // never push a target negative).
-  std::vector<double> corrected(measured_vec.size());
-  for (std::size_t i = 0; i < measured_vec.size(); ++i) {
-    corrected[i] =
-        std::max(measured_vec[i] - delta_min, 0.05 * measured_vec[i]);
-  }
-  GateTargets corr;
-  corr.fall.assign(corrected.begin(), corrected.begin() + n);
-  corr.rise.assign(corrected.begin() + n, corrected.begin() + 2 * n);
-  corr.fall_all = corrected[2 * n];
-  corr.rise_all = corrected[2 * n + 1];
+  // The ratio rule runs on the parallel-network direction: falling for
+  // NOR-like, rising for NAND-like, against the slowest SIS delay.
+  const bool nor_like = topology == GateTopology::kNorLike;
+  const auto& sis = nor_like ? measured.fall : measured.rise;
+  const double delta_min = fit_pipeline::choose_delta_min(
+      options, measured_vec, *std::max_element(sis.begin(), sis.end()),
+      nor_like ? measured.fall_all : measured.rise_all, n);
+  const auto corrected = fit_pipeline::strip_delta_min(measured_vec, delta_min);
 
   // Seed from single-RC relations: the parallel device of input i sets its
   // own SIS delay (falling for NOR-like, rising for NAND-like); the series
   // chain total comes from the opposite direction, split evenly.
-  GateParams seed;
-  seed.topology = topology;
-  seed.vdd = options.vdd;
-  seed.delta_min = 0.0;
-  seed.c_out = 600e-18;
-  seed.c_int = 0.12 * seed.c_out;
-  const bool nor_like = topology == GateTopology::kNorLike;
-  const auto& own = nor_like ? corr.fall : corr.rise;
-  const auto& chain_dir = nor_like ? corr.rise : corr.fall;
+  const double c_out = 600e-18;
+  const auto own = corrected.begin() + (nor_like ? 0 : n);
+  const auto chain_dir = corrected.begin() + (nor_like ? n : 0);
   double chain_mean = 0.0;
   for (int i = 0; i < n; ++i) chain_mean += chain_dir[i];
   chain_mean /= n;
-  const double chain_total = chain_mean / (kLn2 * seed.c_out);
+  const double chain_total = chain_mean / (kLn2 * c_out);
+  std::vector<double> seed(2 * n + 2);
   for (int i = 0; i < n; ++i) {
-    seed.r_parallel.push_back(own[i] / (kLn2 * seed.c_out));
-    seed.r_series.push_back(chain_total / n);
+    seed[i] = chain_total / n;
+    seed[n + i] = own[i] / (kLn2 * c_out);
   }
+  seed[2 * n] = 0.12 * c_out;
+  seed[2 * n + 1] = c_out;
 
-  std::vector<double> flat = seed.r_series;
-  flat.insert(flat.end(), seed.r_parallel.begin(), seed.r_parallel.end());
-  flat.push_back(seed.c_int);
-  flat.push_back(seed.c_out);
-  const std::vector<double> x0 = fit::to_log_space(flat);
-
-  auto obj = [&](const std::vector<double>& log_x) {
-    const auto x = fit::from_log_space(log_x);
-    const GateParams p =
-        params_from_vector(topology, n, x, options.vdd, 0.0);
-    try {
-      const GateModeTables tables(p);
-      const auto achieved = to_vector(gate_characteristic_delays(tables));
-      double acc = 0.0;
-      for (std::size_t i = 0; i < achieved.size(); ++i) {
-        const double rel = (achieved[i] - corrected[i]) / corrected[i];
-        acc += rel * rel;
-      }
-      return acc + 0.1 * box_penalty(p);
-    } catch (const ConvergenceError&) {
-      // Infeasible corner of parameter space: a non-converging delay
-      // solve is expected there and becomes a penalty.
-      ++util::RunCounters::local().fit_fallbacks;
-      return 1e6;
-    } catch (const ConfigError&) {
-      // Also expected there: log-space steps can underflow a parameter to
-      // exactly 0.0, which validation rejects. Anything else
-      // (AssertionError, bad_alloc) is a real bug and propagates.
-      ++util::RunCounters::local().fit_fallbacks;
-      return 1e6;
-    }
+  const fit_pipeline::DelayModel model = [&](const std::vector<double>& x) {
+    const GateModeTables tables(
+        params_from_vector(topology, n, x, options.vdd, 0.0));
+    return to_vector(gate_characteristic_delays(tables));
   };
-
-  fit::NelderMeadOptions nm;
-  nm.max_evaluations = options.nelder_mead_evaluations;
-  nm.initial_step = 0.25;
-  const auto nm_result = fit::nelder_mead(obj, x0, nm);
+  const auto nm_result = fit_pipeline::nelder_mead_fit(
+      model, seed, corrected, options.nelder_mead_evaluations);
 
   GateFitResult result;
   result.params = params_from_vector(
@@ -197,28 +200,17 @@ GateFitResult fit_gate_params(GateTopology topology,
   {
     GateParams raw = result.params;
     raw.delta_min = 0.0;
-    const GateModeTables tables(raw);
-    const auto achieved_raw = gate_characteristic_delays(tables);
-    const auto achieved = with_delta(achieved_raw, delta_min);
-    result.achieved.fall = achieved.fall;
-    result.achieved.rise = achieved.rise;
-    result.achieved.fall_all = achieved.fall_all;
-    result.achieved.rise_all = achieved.rise_all;
+    result.achieved = gate_characteristic_delays(GateModeTables(raw));
+    for (double& v : result.achieved.fall) v += delta_min;
+    for (double& v : result.achieved.rise) v += delta_min;
+    result.achieved.fall_all += delta_min;
+    result.achieved.rise_all += delta_min;
   }
   result.objective = nm_result.f;
   result.evaluations = nm_result.evaluations;
-
-  const auto ach_vec = to_vector(GateSisDelays{
-      result.achieved.fall, result.achieved.rise, result.achieved.fall_all,
-      result.achieved.rise_all});
-  double acc = 0.0;
-  for (std::size_t i = 0; i < ach_vec.size(); ++i) {
-    const double e = ach_vec[i] - measured_vec[i];
-    acc += e * e;
-  }
-  result.rms_error = std::sqrt(acc / static_cast<double>(ach_vec.size()));
-  result.swallowed_fallbacks = static_cast<int>(
-      util::RunCounters::local().fit_fallbacks - fallbacks_before);
+  result.rms_error =
+      fit_pipeline::rms_error(to_vector(result.achieved), measured_vec);
+  result.swallowed_fallbacks = tally.swallowed();
   return result;
 }
 

@@ -1,14 +1,10 @@
 #include "core/parametrize.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cmath>
+#include <vector>
 
-#include "fit/brent_min.hpp"
 #include "fit/levenberg_marquardt.hpp"
-#include "fit/nelder_mead.hpp"
 #include "fit/param_transform.hpp"
-#include "util/diagnostics.hpp"
 #include "util/error.hpp"
 
 namespace charlie::core {
@@ -16,13 +12,25 @@ namespace {
 
 constexpr double kLn2 = 0.6931471805599453;
 
-std::array<double, 6> to_array(const CharacteristicDelays& d) {
+// Flat target order: fall -inf, 0, +inf, rise -inf, 0, +inf.
+std::vector<double> to_vector(const CharacteristicDelays& d) {
   return {d.fall_minus_inf, d.fall_zero,      d.fall_plus_inf,
           d.rise_minus_inf, d.rise_zero,      d.rise_plus_inf};
 }
 
+CharacteristicDelays from_vector(const std::vector<double>& v) {
+  CharacteristicDelays d;
+  d.fall_minus_inf = v[0];
+  d.fall_zero = v[1];
+  d.fall_plus_inf = v[2];
+  d.rise_minus_inf = v[3];
+  d.rise_zero = v[4];
+  d.rise_plus_inf = v[5];
+  return d;
+}
+
 void check_targets(const CharacteristicDelays& d) {
-  for (double v : to_array(d)) {
+  for (double v : to_vector(d)) {
     if (!(v > 0.0)) {
       throw ConfigError("fit_nor_params: characteristic delays must be > 0");
     }
@@ -45,44 +53,6 @@ NorParams params_from_vector(const std::vector<double>& v, double vdd,
   p.vdd = vdd;
   p.delta_min = delta_min;
   return p;
-}
-
-// Soft box penalty keeping the fit inside a physically plausible region
-// (transistor on-resistances of kOhms to a few hundred kOhms, node
-// capacitances of attofarads to femtofarads). Without it the delta_min = 0
-// fit drifts to MOhm/1-aF corners whose stiff spectra are numerically
-// hostile and physically meaningless.
-double box_penalty(const NorParams& p) {
-  auto outside = [](double v, double lo, double hi) {
-    if (v < lo) return std::log(lo / v);
-    if (v > hi) return std::log(v / hi);
-    return 0.0;
-  };
-  double acc = 0.0;
-  for (double r : {p.r1, p.r2, p.r3, p.r4}) {
-    acc += outside(r, 1e3, 400e3);
-  }
-  acc += outside(p.cn, 5e-18, 5e-15);
-  acc += outside(p.co, 50e-18, 50e-15);
-  return acc * acc;
-}
-
-// Weighted squared mismatch of the model's *raw* characteristic delays
-// (delta_min excluded on both sides) against the corrected targets,
-// normalized by the target magnitudes.
-double objective(const NorParams& params,
-                 const std::array<double, 6>& corrected_targets,
-                 const double* weights, double vn0) {
-  NorParams raw = params;
-  raw.delta_min = 0.0;
-  const auto achieved = to_array(characteristic_delays_exact(raw, vn0));
-  double acc = 0.0;
-  for (std::size_t i = 0; i < 6; ++i) {
-    const double rel =
-        (achieved[i] - corrected_targets[i]) / corrected_targets[i];
-    acc += weights[i] * rel * rel;
-  }
-  return acc + 0.1 * box_penalty(params);
 }
 
 }  // namespace
@@ -112,132 +82,53 @@ NorParams seed_from_targets(const CharacteristicDelays& corrected,
 FitResult fit_nor_params(const CharacteristicDelays& measured,
                          const FitOptions& options) {
   check_targets(measured);
-  const long fallbacks_before = util::RunCounters::local().fit_fallbacks;
+  const fit_pipeline::FallbackTally tally;
+  const auto measured_vec = to_vector(measured);
+  // The paper's ratio rule on fall(-inf)/fall(0).
+  const double delta_min = fit_pipeline::choose_delta_min(
+      options, measured_vec, measured.fall_minus_inf, measured.fall_zero, 2);
+  const auto corrected = fit_pipeline::strip_delta_min(measured_vec, delta_min);
 
-  const auto measured_arr = to_array(measured);
-  const double smallest_target =
-      *std::min_element(measured_arr.begin(), measured_arr.end());
-
-  // Inner fit for a given delta_min; returns (params, objective, evals).
-  auto fit_for_delta_min = [&](double delta_min) {
-    std::array<double, 6> corrected{};
-    const auto raw_targets = measured_arr;
-    for (std::size_t i = 0; i < 6; ++i) {
-      corrected[i] = std::max(raw_targets[i] - delta_min, 0.05 * raw_targets[i]);
-    }
-    CharacteristicDelays corr;
-    corr.fall_minus_inf = corrected[0];
-    corr.fall_zero = corrected[1];
-    corr.fall_plus_inf = corrected[2];
-    corr.rise_minus_inf = corrected[3];
-    corr.rise_zero = corrected[4];
-    corr.rise_plus_inf = corrected[5];
-
-    const NorParams seed = seed_from_targets(corr, options.vdd);
-    const std::vector<double> x0 = fit::to_log_space(
-        {seed.r1, seed.r2, seed.r3, seed.r4, seed.cn, seed.co});
-
-    auto obj = [&](const std::vector<double>& log_x) {
-      const auto x = fit::from_log_space(log_x);
-      const NorParams p = params_from_vector(x, options.vdd, delta_min);
-      try {
-        return objective(p, corrected, options.weights, options.vn0);
-      } catch (const ConvergenceError&) {
-        // Infeasible corner of parameter space: a non-converging exact
-        // solve is expected there and becomes a penalty.
-        ++util::RunCounters::local().fit_fallbacks;
-        return 1e6;
-      } catch (const ConfigError&) {
-        // Also expected there: log-space steps can underflow a parameter
-        // to exactly 0.0, which validation rejects. Anything else
-        // (AssertionError, bad_alloc) is a real bug and propagates.
-        ++util::RunCounters::local().fit_fallbacks;
-        return 1e6;
-      }
-    };
-
-    fit::NelderMeadOptions nm;
-    nm.max_evaluations = options.nelder_mead_evaluations;
-    nm.initial_step = 0.25;
-    auto nm_result = fit::nelder_mead(obj, x0, nm);
-
-    if (options.refine_with_lm) {
-      auto residuals = [&](const std::vector<double>& log_x) {
-        const auto x = fit::from_log_space(log_x);
-        const NorParams p = params_from_vector(x, options.vdd, delta_min);
-        std::vector<double> r(6, 1e3);
-        try {
-          NorParams raw = p;
-          raw.delta_min = 0.0;
-          const auto achieved =
-              to_array(characteristic_delays_exact(raw, options.vn0));
-          for (std::size_t i = 0; i < 6; ++i) {
-            r[i] = std::sqrt(options.weights[i]) *
-                   (achieved[i] - corrected[i]) / corrected[i];
-          }
-        } catch (const ConvergenceError&) {
-          // keep the large penalty residuals
-          ++util::RunCounters::local().fit_fallbacks;
-        } catch (const ConfigError&) {
-          // underflowed-parameter corner: keep the penalty residuals too
-          ++util::RunCounters::local().fit_fallbacks;
-        }
-        return r;
-      };
-      fit::LmOptions lm;
-      lm.max_iterations = 60;
-      const auto lm_result = fit::levenberg_marquardt(residuals, nm_result.x, lm);
-      if (2.0 * lm_result.cost < nm_result.f) {
-        nm_result.x = lm_result.x;
-        nm_result.f = 2.0 * lm_result.cost;
-      }
-    }
-
-    struct Inner {
-      std::vector<double> log_x;
-      double f;
-      int evals;
-    };
-    return Inner{nm_result.x, nm_result.f, nm_result.evaluations};
+  const NorParams seed = seed_from_targets(from_vector(corrected), options.vdd);
+  // The raw model (delta_min excluded) against the corrected targets.
+  const fit_pipeline::DelayModel model = [&](const std::vector<double>& x) {
+    return to_vector(
+        characteristic_delays_exact(params_from_vector(x, options.vdd, 0.0)));
   };
+  auto nm_result = fit_pipeline::nelder_mead_fit(
+      model, {seed.r1, seed.r2, seed.r3, seed.r4, seed.cn, seed.co}, corrected,
+      options.nelder_mead_evaluations);
 
-  double delta_min;
-  if (options.forced_delta_min >= 0.0) {
-    delta_min = std::min(options.forced_delta_min, 0.9 * smallest_target);
-  } else if (options.fit_delta_min) {
-    // Coarse-but-robust line search over delta_min (objective is expensive,
-    // so keep the evaluation budget small per probe).
-    auto outer = [&](double dm) { return fit_for_delta_min(dm).f; };
-    fit::MinimizeOptions mo;
-    mo.max_iterations = 24;
-    const auto best =
-        fit::brent_minimize(outer, 0.0, 0.9 * smallest_target, mo);
-    delta_min = best.x;
-  } else {
-    delta_min = delta_min_for_ratio(measured.fall_minus_inf,
-                                    measured.fall_zero, options.target_ratio);
-    delta_min = std::clamp(delta_min, 0.0, 0.9 * smallest_target);
+  // Levenberg-Marquardt polish from the Nelder-Mead optimum on the relative
+  // residuals; kept only when it lowers the objective.
+  auto residuals = [&](const std::vector<double>& log_x) {
+    std::vector<double> r(6, 1e3);  // penalty in an infeasible corner
+    if (const auto achieved =
+            fit_pipeline::feasible_delays(model, fit::from_log_space(log_x))) {
+      for (std::size_t i = 0; i < 6; ++i) {
+        r[i] = ((*achieved)[i] - corrected[i]) / corrected[i];
+      }
+    }
+    return r;
+  };
+  fit::LmOptions lm;
+  lm.max_iterations = 60;
+  const auto lm_result = fit::levenberg_marquardt(residuals, nm_result.x, lm);
+  if (2.0 * lm_result.cost < nm_result.f) {
+    nm_result.x = lm_result.x;
+    nm_result.f = 2.0 * lm_result.cost;
   }
 
-  const auto inner = fit_for_delta_min(delta_min);
   FitResult result;
-  result.params = params_from_vector(fit::from_log_space(inner.log_x),
+  result.params = params_from_vector(fit::from_log_space(nm_result.x),
                                      options.vdd, delta_min);
   result.targets = measured;
-  result.achieved =
-      characteristic_delays_exact(result.params, options.vn0);
-  result.objective = inner.f;
-  result.evaluations = inner.evals;
-
-  const auto ach = to_array(result.achieved);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < 6; ++i) {
-    const double e = ach[i] - measured_arr[i];
-    acc += e * e;
-  }
-  result.rms_error = std::sqrt(acc / 6.0);
-  result.swallowed_fallbacks = static_cast<int>(
-      util::RunCounters::local().fit_fallbacks - fallbacks_before);
+  result.achieved = characteristic_delays_exact(result.params);
+  result.objective = nm_result.f;
+  result.evaluations = nm_result.evaluations;
+  result.rms_error =
+      fit_pipeline::rms_error(to_vector(result.achieved), measured_vec);
+  result.swallowed_fallbacks = tally.swallowed();
   return result;
 }
 

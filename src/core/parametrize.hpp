@@ -1,4 +1,4 @@
-// Model parametrization (paper Section V).
+// Model parametrization (paper Section V) of the NOR2.
 //
 // Given the six measured characteristic Charlie delays of a real gate, find
 // (R1..R4, C_N, C_O) and the pure delay delta_min such that the hybrid
@@ -7,35 +7,26 @@
 // ratio exceeds (R3+R4)/R3 ~= 2, so delta_min is first chosen to restore a
 // fittable ratio (18 ps for the paper's gate), then the R/C values are
 // fitted by least squares on the delta_min-corrected targets.
+//
+// The six targets are the 2n+2 of the N-input fit for n = 2, so this runs
+// the same pipeline (core/gate_parametrize.hpp: delta_min choice, target
+// correction, log-space Nelder-Mead, RMS and fallback accounting). What is
+// NOR2's own: the closed-form seed of eqs (8)-(9), the exact
+// characteristic_delays_exact objective, and a Levenberg-Marquardt polish.
 #pragma once
 
 #include "core/charlie_delays.hpp"
+#include "core/gate_parametrize.hpp"
 #include "core/nor_params.hpp"
 
 namespace charlie::core {
-
-struct FitOptions {
-  double vdd = 0.8;
-  double vn0 = 0.0;          // (1,1) history value for the rising targets
-  bool fit_delta_min = false;  // true: line-search delta_min instead of the
-                               // closed-form ratio rule
-  double forced_delta_min = -1.0;  // >= 0: pin delta_min to this value
-                                   // (e.g. 0 for the paper's "HM without
-                                   // pure delay" variant)
-  double target_ratio = 2.0;   // achievable fall(-inf)/fall(0) ratio
-  // Per-target weights in the least-squares objective, ordered as
-  // CharacteristicDelays {fall -inf, 0, +inf, rise -inf, 0, +inf}.
-  double weights[6] = {1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
-  int nelder_mead_evaluations = 4000;
-  bool refine_with_lm = true;
-};
 
 struct FitResult {
   NorParams params;               // includes the chosen delta_min
   CharacteristicDelays targets;   // what was asked for
   CharacteristicDelays achieved;  // what the fitted model produces
   double rms_error = 0.0;         // RMS over the six targets [s]
-  double objective = 0.0;         // final weighted least-squares value
+  double objective = 0.0;         // final least-squares value
   int evaluations = 0;
   // Infeasible objective evaluations (ConvergenceError from the exact
   // delay solve) swallowed as penalty values during this fit.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "sim/run_channel.hpp"
 #include "spice/rc_line.hpp"
@@ -12,6 +13,43 @@
 #include "waveform/metrics.hpp"
 
 namespace charlie::sim {
+namespace {
+
+// Index of the model the others are normalized against; `context` prefixes
+// the assertion message.
+template <class Model>
+std::size_t find_baseline(const std::vector<Model>& models,
+                          const std::string& context) {
+  const auto it = std::find_if(models.begin(), models.end(),
+                               [](const Model& m) { return m.is_baseline; });
+  CHARLIE_ASSERT_MSG(
+      it != models.end(),
+      (context + ": a baseline model is required").c_str());
+  return static_cast<std::size_t>(it - models.begin());
+}
+
+// Each model's mean and spread of the deviation areas over the
+// repetitions, normalized by the baseline's mean.
+template <class Model>
+void summarize(const std::vector<Model>& models,
+               const std::vector<std::vector<double>>& areas,
+               std::size_t baseline_index, const std::string& context,
+               AccuracyResult& result) {
+  const double baseline_mean = math::mean(areas[baseline_index]);
+  CHARLIE_ASSERT_MSG(
+      baseline_mean > 0.0,
+      (context + ": baseline produced zero deviation area").c_str());
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    ModelAccuracy acc;
+    acc.name = models[m].name;
+    acc.mean_area = math::mean(areas[m]);
+    acc.stddev_area = math::stddev(areas[m]);
+    acc.normalized = acc.mean_area / baseline_mean;
+    result.models.push_back(std::move(acc));
+  }
+}
+
+}  // namespace
 
 AccuracyOptions::AccuracyOptions() {
   // Crossing-time fidelity of ~0.1 ps is ample for ps-scale deviation
@@ -33,14 +71,7 @@ AccuracyResult evaluate_gate_accuracy(const spice::Technology& tech,
                                       const waveform::TraceConfig& config,
                                       const std::vector<ModelUnderTest>& models,
                                       const AccuracyOptions& options) {
-  CHARLIE_ASSERT(!models.empty());
-  const auto baseline_it =
-      std::find_if(models.begin(), models.end(),
-                   [](const ModelUnderTest& m) { return m.is_baseline; });
-  CHARLIE_ASSERT_MSG(baseline_it != models.end(),
-                     "accuracy: a baseline model is required");
-  const std::size_t baseline_index =
-      static_cast<std::size_t>(baseline_it - models.begin());
+  const std::size_t baseline_index = find_baseline(models, "accuracy");
   const std::size_t n_inputs =
       static_cast<std::size_t>(spice::cell_arity(cell));
 
@@ -85,17 +116,7 @@ AccuracyResult evaluate_gate_accuracy(const spice::Technology& tech,
     }
   }
 
-  const double baseline_mean = math::mean(areas[baseline_index]);
-  CHARLIE_ASSERT_MSG(baseline_mean > 0.0,
-                     "accuracy: baseline produced zero deviation area");
-  for (std::size_t m = 0; m < models.size(); ++m) {
-    ModelAccuracy acc;
-    acc.name = models[m].name;
-    acc.mean_area = math::mean(areas[m]);
-    acc.stddev_area = math::stddev(areas[m]);
-    acc.normalized = acc.mean_area / baseline_mean;
-    result.models.push_back(std::move(acc));
-  }
+  summarize(models, areas, baseline_index, "accuracy", result);
   return result;
 }
 
@@ -110,15 +131,8 @@ AccuracyResult evaluate_wire_accuracy(
     const wire::WireParams& params, const waveform::TraceConfig& config,
     const std::vector<WireModelUnderTest>& models,
     const WireAccuracyOptions& options) {
-  CHARLIE_ASSERT(!models.empty());
   params.validate();
-  const auto baseline_it =
-      std::find_if(models.begin(), models.end(),
-                   [](const WireModelUnderTest& m) { return m.is_baseline; });
-  CHARLIE_ASSERT_MSG(baseline_it != models.end(),
-                     "wire accuracy: a baseline model is required");
-  const std::size_t baseline_index =
-      static_cast<std::size_t>(baseline_it - models.begin());
+  const std::size_t baseline_index = find_baseline(models, "wire accuracy");
 
   spice::RcLineSpec spec;
   spec.r_total = params.r_total;
@@ -162,17 +176,7 @@ AccuracyResult evaluate_wire_accuracy(
     }
   }
 
-  const double baseline_mean = math::mean(areas[baseline_index]);
-  CHARLIE_ASSERT_MSG(baseline_mean > 0.0,
-                     "wire accuracy: baseline produced zero deviation area");
-  for (std::size_t m = 0; m < models.size(); ++m) {
-    ModelAccuracy acc;
-    acc.name = models[m].name;
-    acc.mean_area = math::mean(areas[m]);
-    acc.stddev_area = math::stddev(areas[m]);
-    acc.normalized = acc.mean_area / baseline_mean;
-    result.models.push_back(std::move(acc));
-  }
+  summarize(models, areas, baseline_index, "wire accuracy", result);
   return result;
 }
 

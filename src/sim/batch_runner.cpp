@@ -76,12 +76,6 @@ std::vector<NetCriticality> BatchResult::criticality_ranking() const {
   return rank_net_criticality(names, stats.criticality);
 }
 
-BatchRunner::BatchRunner(CircuitFactory factory, std::string output_net,
-                         BatchConfig config)
-    : BatchRunner(std::move(factory),
-                  std::vector<std::string>{std::move(output_net)},
-                  std::move(config)) {}
-
 BatchRunner::BatchRunner(CircuitFactory factory,
                          std::vector<std::string> output_nets,
                          BatchConfig config)
@@ -201,15 +195,9 @@ BatchResult BatchRunner::run() {
   const std::size_t n_runs = config_.n_runs;
   const std::size_t n_nets = output_nets_.size();
 
-  const Histogram pulse_shape(0.0,
-                              config_.pulse_width_hi > 0.0
-                                  ? config_.pulse_width_hi
-                                  : 4.0 * config_.trace.mu,
+  const Histogram pulse_shape(0.0, 4.0 * config_.trace.mu,
                               config_.histogram_bins);
-  const Histogram response_shape(0.0,
-                                 config_.response_delay_hi > 0.0
-                                     ? config_.response_delay_hi
-                                     : config_.trace.mu,
+  const Histogram response_shape(0.0, config_.trace.mu,
                                  config_.histogram_bins);
   const std::size_t n_slots = config_.histogram_bins + 2;  // per histogram
   for (Worker& w : workers_) {
@@ -373,11 +361,6 @@ BatchResult BatchRunner::run() {
                      static_cast<long long>(result.n_failed));
   result.metrics.add("batch.events", result.total_events);
   result.captured = std::move(captured);
-
-  // Single-net compatibility view: the first observed net.
-  result.total_output_transitions = result.nets.front().transitions;
-  result.pulse_width = result.nets.front().pulse_width;
-  result.response_delay = result.nets.front().response_delay;
 
   // Distribution queries over the per-run critical delays. `sample` was
   // collected in run order and is reduced with fixed-order arithmetic, so

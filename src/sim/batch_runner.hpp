@@ -84,11 +84,9 @@ struct BatchConfig {
   std::uint64_t first_run_index = 0;  // global index of this batch's run 0
   std::size_t n_threads = 1;     // 0 = hardware concurrency
   double t_settle = 1e-9;        // simulated tail after the last stimulus edge
+  // Histograms span pulse widths up to 4 trace.mu and response delays up to
+  // trace.mu.
   std::size_t histogram_bins = 32;
-  // Histogram ranges; 0 = auto (pulse widths up to 4 mu, response delays up
-  // to mu).
-  double pulse_width_hi = 0.0;
-  double response_delay_hi = 0.0;
   // Per-run execution budget (event ceiling, wall-clock deadline,
   // cancellation token). Default: no limits. A tripped run terminates with
   // the corresponding status in BatchResult::diagnostics; the batch
@@ -149,13 +147,8 @@ struct BatchStats {
 struct BatchResult {
   std::size_t n_runs = 0;
   std::size_t n_threads = 0;
-  long long total_events = 0;              // engine events across all runs
-  long long total_output_transitions = 0;  // on the first observed net
-  std::vector<long> events_per_run;        // indexed by run (= seed offset)
-  // Aggregates of the first observed net (single-net compatibility view;
-  // identical to nets.front()).
-  Histogram pulse_width;
-  Histogram response_delay;
+  long long total_events = 0;        // engine events across all runs
+  std::vector<long> events_per_run;  // indexed by run (= seed offset)
   // Per-net aggregates, one entry per observed net in declaration order.
   std::vector<NetAggregate> nets;
   // Per-run outcome (status, guard counters, captured error), indexed by
@@ -199,13 +192,8 @@ using CircuitFactory = std::function<std::unique_ptr<Circuit>()>;
 
 class BatchRunner {
  public:
-  /// `output_net` names the net whose trace feeds the histograms.
-  BatchRunner(CircuitFactory factory, std::string output_net,
-              BatchConfig config);
-
-  /// Observe several named nets (e.g. a netlist's `output(...)`
-  /// declarations): every net gets its own NetAggregate; the legacy
-  /// single-net fields mirror the first entry.
+  /// Observe the named nets (e.g. a netlist's `output(...)`
+  /// declarations): every net gets its own NetAggregate.
   BatchRunner(CircuitFactory factory, std::vector<std::string> output_nets,
               BatchConfig config);
 

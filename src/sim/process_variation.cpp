@@ -27,19 +27,16 @@ void ProcessVariation::validate() const {
   check_sigma(vdd_sigma, "vdd_sigma");
   check_sigma(vth_sigma, "vth_sigma");
   check_sigma(drive_sigma, "drive_sigma");
-  if (!(max_sigma > 0.0) || !std::isfinite(max_sigma)) {
-    throw ConfigError("process variation: max_sigma must be finite and > 0");
-  }
   if (grid_levels < 2) {
     throw ConfigError("process variation: grid_levels must be >= 2");
   }
   if (vdd_nominal < 0.0 || !std::isfinite(vdd_nominal)) {
     throw ConfigError("process variation: vdd_nominal must be >= 0");
   }
-  if (max_sigma * vdd_sigma >= 1.0 || max_sigma * drive_sigma >= 1.0) {
+  if (kMaxSigma * vdd_sigma >= 1.0 || kMaxSigma * drive_sigma >= 1.0) {
     throw ConfigError(
         "process variation: the clamped span crosses zero supply or drive "
-        "(max_sigma * sigma must stay below 1 for the scale axes)");
+        "(3.5 * sigma must stay below 1 for the scale axes)");
   }
 }
 
@@ -50,9 +47,9 @@ core::ProcessPoint ProcessVariation::sample(std::uint64_t seed,
   // Always draw all three axes: the stream layout (two uniforms per draw)
   // must not depend on which sigmas are active. A zero sigma returns the
   // mean exactly, so inactive axes stay bit-exactly nominal.
-  p.vdd_scale = rng.normal_clamped(1.0, vdd_sigma, max_sigma);
-  p.vth_shift = rng.normal_clamped(0.0, vth_sigma, max_sigma);
-  p.drive_scale = rng.normal_clamped(1.0, drive_sigma, max_sigma);
+  p.vdd_scale = rng.normal_clamped(1.0, vdd_sigma, kMaxSigma);
+  p.vth_shift = rng.normal_clamped(0.0, vth_sigma, kMaxSigma);
+  p.drive_scale = rng.normal_clamped(1.0, drive_sigma, kMaxSigma);
   return p;
 }
 
@@ -61,16 +58,16 @@ core::ModeTableGrid::Spec ProcessVariation::grid_spec() const {
   const auto levels = static_cast<std::size_t>(grid_levels);
   core::ModeTableGrid::Spec spec;
   if (vdd_sigma > 0.0) {
-    spec.vdd_scale = {1.0 + vdd_sigma * -max_sigma,
-                      1.0 + vdd_sigma * max_sigma, levels};
+    spec.vdd_scale = {1.0 + vdd_sigma * -kMaxSigma,
+                      1.0 + vdd_sigma * kMaxSigma, levels};
   }
   if (vth_sigma > 0.0) {
-    spec.vth_shift = {0.0 + vth_sigma * -max_sigma,
-                      0.0 + vth_sigma * max_sigma, levels};
+    spec.vth_shift = {0.0 + vth_sigma * -kMaxSigma,
+                      0.0 + vth_sigma * kMaxSigma, levels};
   }
   if (drive_sigma > 0.0) {
-    spec.drive_scale = {1.0 + drive_sigma * -max_sigma,
-                        1.0 + drive_sigma * max_sigma, levels};
+    spec.drive_scale = {1.0 + drive_sigma * -kMaxSigma,
+                        1.0 + drive_sigma * kMaxSigma, levels};
   }
   return spec;
 }

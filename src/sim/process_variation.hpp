@@ -41,9 +41,9 @@ struct ProcessVariation {
   double vdd_sigma = 0.0;    // sigma of vdd_scale (relative, nominal 1)
   double vth_sigma = 0.0;    // sigma of vth_shift [V] (nominal 0)
   double drive_sigma = 0.0;  // sigma of drive_scale (relative, nominal 1)
-  // Samples clamp their standard score to [-max_sigma, +max_sigma]; the
+  // Samples clamp their standard score to [-kMaxSigma, +kMaxSigma]; the
   // collocation grid spans exactly that range per active axis.
-  double max_sigma = 3.5;
+  static constexpr double kMaxSigma = 3.5;
   // Grid resolution per active axis (collocation points; >= 2 for an
   // actual span, 3 puts a point at nominal).
   int grid_levels = 3;
@@ -55,9 +55,8 @@ struct ProcessVariation {
     return vdd_sigma > 0.0 || vth_sigma > 0.0 || drive_sigma > 0.0;
   }
 
-  /// Throws ConfigError on negative/non-finite sigmas, a non-positive
-  /// max_sigma or grid_levels, or spans wide enough to cross zero supply
-  /// or drive.
+  /// Throws ConfigError on negative/non-finite sigmas, grid_levels below
+  /// 2, or spans wide enough to cross zero supply or drive.
   void validate() const;
 
   /// The process sample of global run `run_index` under `seed`: a pure

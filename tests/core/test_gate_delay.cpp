@@ -110,7 +110,7 @@ TEST(GateParametrize, RecoversReferenceCellDelays) {
   targets.fall_all += truth.delta_min;
   targets.rise_all += truth.delta_min;
 
-  GateFitOptions opts;
+  FitOptions opts;
   opts.vdd = truth.vdd;
   opts.forced_delta_min = truth.delta_min;
   opts.nelder_mead_evaluations = 2000;
@@ -177,7 +177,7 @@ TEST(GateParametrize, PinnedNor3RatioRuleFit) {
   t.rise = {75.8e-12, 75.8e-12, 69.0e-12};
   t.fall_all = 24.7e-12;
   t.rise_all = 75.8e-12;
-  GateFitOptions opts;
+  FitOptions opts;
   opts.nelder_mead_evaluations = 1500;
   expect_fit_eq(
       fit_gate_params(GateTopology::kNorLike, t, opts),
@@ -204,7 +204,7 @@ TEST(GateParametrize, PinnedNand2RatioRuleFit) {
   t.rise = {33.9e-12, 39.0e-12};
   t.fall_all = 60.6e-12;
   t.rise_all = 26.7e-12;
-  GateFitOptions opts;
+  FitOptions opts;
   opts.nelder_mead_evaluations = 1500;
   expect_fit_eq(
       fit_gate_params(GateTopology::kNandLike, t, opts),

@@ -87,7 +87,7 @@ CellCalibration calibrate(CellKind cell) {
   targets.rise = out.targets.rise;
   targets.fall_all = out.targets.fall_all;
   targets.rise_all = out.targets.rise_all;
-  core::GateFitOptions opts;
+  core::FitOptions opts;
   opts.vdd = out.tech.vdd;
   opts.nelder_mead_evaluations = 1500;
   out.fit = core::fit_gate_params(topology_of(cell), targets, opts);

@@ -145,20 +145,20 @@ TEST(NetlistCircuit, MixedTreeSimulatesUnderBatchRunner) {
     config.n_threads = n_threads;
     config.base_seed = 99;
     sim::BatchRunner runner([&builder, &desc] { return builder.build(desc); },
-                            "out", config);
+                            {"out"}, config);
     return runner.run();
   };
 
   const auto serial = run(1);
   EXPECT_EQ(serial.n_runs, 4u);
   EXPECT_GT(serial.total_events, 0);
-  EXPECT_GT(serial.total_output_transitions, 0);
+  EXPECT_GT(serial.nets.front().transitions, 0);
 
   // Deterministic aggregate regardless of thread count.
   const auto parallel = run(3);
   EXPECT_EQ(serial.total_events, parallel.total_events);
-  EXPECT_EQ(serial.total_output_transitions,
-            parallel.total_output_transitions);
+  EXPECT_EQ(serial.nets.front().transitions,
+            parallel.nets.front().transitions);
   EXPECT_EQ(serial.events_per_run, parallel.events_per_run);
 }
 

@@ -33,18 +33,7 @@ inline ::testing::AssertionResult batch_results_equal(const BatchResult& a,
   };
   if (a.n_runs != b.n_runs) return differ("n_runs");
   if (a.total_events != b.total_events) return differ("total_events");
-  if (a.total_output_transitions != b.total_output_transitions) {
-    return differ("total_output_transitions");
-  }
   if (a.events_per_run != b.events_per_run) return differ("events_per_run");
-  if (const auto d = histogram_difference(a.pulse_width, b.pulse_width);
-      !d.empty()) {
-    return differ("pulse_width " + d);
-  }
-  if (const auto d = histogram_difference(a.response_delay, b.response_delay);
-      !d.empty()) {
-    return differ("response_delay " + d);
-  }
   if (a.nets.size() != b.nets.size()) return differ("nets.size()");
   for (std::size_t n = 0; n < a.nets.size(); ++n) {
     const NetAggregate& x = a.nets[n];

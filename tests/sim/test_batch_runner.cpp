@@ -64,24 +64,24 @@ TEST(Histogram, BinsAndMerge) {
 }
 
 TEST(BatchRunner, ProducesActivity) {
-  BatchRunner runner(nor_factory(), "out", small_config());
+  BatchRunner runner(nor_factory(), {"out"}, small_config());
   const auto result = runner.run();
   EXPECT_EQ(result.n_runs, 8u);
   EXPECT_EQ(result.events_per_run.size(), 8u);
   EXPECT_GT(result.total_events, 0);
-  EXPECT_GT(result.total_output_transitions, 0);
-  EXPECT_GT(result.pulse_width.count(), 0u);
-  EXPECT_GT(result.response_delay.count(), 0u);
+  EXPECT_GT(result.nets.front().transitions, 0);
+  EXPECT_GT(result.nets.front().pulse_width.count(), 0u);
+  EXPECT_GT(result.nets.front().response_delay.count(), 0u);
   // Every output transition trails some stimulus edge by at least the pure
   // delay and the histogram must see it.
-  EXPECT_GT(result.response_delay.mean(), 0.0);
+  EXPECT_GT(result.nets.front().response_delay.mean(), 0.0);
 }
 
 TEST(BatchRunner, BitIdenticalAcrossThreadCounts) {
   auto run_with = [&](std::size_t n_threads) {
     BatchConfig config = small_config();
     config.n_threads = n_threads;
-    BatchRunner runner(nor_factory(), "out", config);
+    BatchRunner runner(nor_factory(), {"out"}, config);
     return runner.run();
   };
   const auto one = run_with(1);
@@ -89,20 +89,24 @@ TEST(BatchRunner, BitIdenticalAcrossThreadCounts) {
     const auto many = run_with(n_threads);
     EXPECT_EQ(many.n_threads, n_threads);
     EXPECT_EQ(many.total_events, one.total_events);
-    EXPECT_EQ(many.total_output_transitions, one.total_output_transitions);
+    EXPECT_EQ(many.nets.front().transitions, one.nets.front().transitions);
     EXPECT_EQ(many.events_per_run, one.events_per_run);
-    EXPECT_EQ(many.pulse_width.bins(), one.pulse_width.bins());
-    EXPECT_EQ(many.pulse_width.sum(), one.pulse_width.sum());
-    EXPECT_EQ(many.response_delay.bins(), one.response_delay.bins());
-    EXPECT_EQ(many.response_delay.sum(), one.response_delay.sum());
+    EXPECT_EQ(many.nets.front().pulse_width.bins(),
+              one.nets.front().pulse_width.bins());
+    EXPECT_EQ(many.nets.front().pulse_width.sum(),
+              one.nets.front().pulse_width.sum());
+    EXPECT_EQ(many.nets.front().response_delay.bins(),
+              one.nets.front().response_delay.bins());
+    EXPECT_EQ(many.nets.front().response_delay.sum(),
+              one.nets.front().response_delay.sum());
   }
 }
 
 TEST(BatchRunner, SeedsChangeResults) {
   BatchConfig config = small_config();
-  BatchRunner a(nor_factory(), "out", config);
+  BatchRunner a(nor_factory(), {"out"}, config);
   config.base_seed = 4242;
-  BatchRunner b(nor_factory(), "out", config);
+  BatchRunner b(nor_factory(), {"out"}, config);
   EXPECT_NE(a.run().total_events, b.run().total_events);
 }
 
@@ -118,10 +122,10 @@ TEST(BatchRunner, WorksWithSisChannels) {
   config.n_threads = 2;
   // Keep every gap above the pure delay so no pulse can be swallowed.
   config.trace.min_width = 20e-12;
-  BatchRunner runner(factory, "out", config);
+  BatchRunner runner(factory, {"out"}, config);
   const auto result = runner.run();
   // A pure-delay inverter then reproduces every input transition.
-  EXPECT_EQ(result.total_output_transitions,
+  EXPECT_EQ(result.nets.front().transitions,
             static_cast<long long>(config.n_runs * 60));
 }
 
@@ -159,10 +163,10 @@ TEST(BatchRunner, ObservesMultipleNamedNets) {
   // Pulse widths are preserved by a pure delay: identical histograms.
   EXPECT_EQ(result.nets[0].pulse_width.bins(),
             result.nets[1].pulse_width.bins());
-  // Legacy single-net view mirrors the first observed net.
-  EXPECT_EQ(result.total_output_transitions, result.nets[0].transitions);
-  EXPECT_EQ(result.pulse_width.bins(), result.nets[0].pulse_width.bins());
   // Lookup by name; unknown nets are an error.
+  EXPECT_EQ(&result.net("mid"), &result.nets.front());
+  EXPECT_EQ(result.net("mid").pulse_width.bins(),
+            result.nets[0].pulse_width.bins());
   EXPECT_EQ(&result.net("out"), &result.nets[1]);
   EXPECT_THROW(result.net("ghost"), ConfigError);
 }
@@ -190,17 +194,19 @@ TEST(BatchRunner, MultiNetAggregatesAreThreadCountInvariant) {
 }
 
 TEST(BatchRunner, SingleNetPathIsUnchangedByTheMultiNetExtension) {
-  // The string overload must produce the exact same aggregate as a
-  // one-element vector (it delegates).
+  // Observing a second net must leave the first net's aggregate and the
+  // engine work exactly as a one-net batch has them.
   const auto config = small_config();
-  BatchRunner single(nor_factory(), "out", config);
-  BatchRunner vec(nor_factory(), std::vector<std::string>{"out"}, config);
+  BatchRunner single(nor_factory(), {"out"}, config);
+  BatchRunner multi(nor_factory(), {"out", "a"}, config);
   const auto a = single.run();
-  const auto b = vec.run();
-  EXPECT_EQ(a.total_output_transitions, b.total_output_transitions);
+  const auto b = multi.run();
+  EXPECT_EQ(a.nets.front().transitions, b.nets.front().transitions);
   EXPECT_EQ(a.total_events, b.total_events);
-  EXPECT_EQ(a.pulse_width.bins(), b.pulse_width.bins());
-  EXPECT_EQ(a.response_delay.sum(), b.response_delay.sum());
+  EXPECT_EQ(a.nets.front().pulse_width.bins(),
+            b.nets.front().pulse_width.bins());
+  EXPECT_EQ(a.nets.front().response_delay.sum(),
+            b.nets.front().response_delay.sum());
   ASSERT_EQ(a.nets.size(), 1u);
   EXPECT_EQ(a.nets[0].net, "out");
 }
@@ -211,13 +217,15 @@ TEST(BatchRunner, RepeatedRunsReusePersistentWorkersBitIdentically) {
   // leak any prior-run state into the traces).
   BatchConfig config = small_config();
   config.n_threads = 3;
-  BatchRunner runner(nor_factory(), "out", config);
+  BatchRunner runner(nor_factory(), {"out"}, config);
   const auto first = runner.run();
   const auto second = runner.run();
   EXPECT_EQ(first.total_events, second.total_events);
   EXPECT_EQ(first.events_per_run, second.events_per_run);
-  EXPECT_EQ(first.pulse_width.bins(), second.pulse_width.bins());
-  EXPECT_EQ(first.response_delay.sum(), second.response_delay.sum());
+  EXPECT_EQ(first.nets.front().pulse_width.bins(),
+            second.nets.front().pulse_width.bins());
+  EXPECT_EQ(first.nets.front().response_delay.sum(),
+            second.nets.front().response_delay.sum());
 }
 
 TEST(BatchRunner, C432NetlistIsBitIdenticalAcrossThreadCounts) {
@@ -267,7 +275,7 @@ TEST(BatchRunner, PerRunEventBudgetTerminatesRunsNotTheBatch) {
   config.budget.max_events = 40;  // every run carries 60 stimulus edges
   auto run_with = [&](std::size_t n_threads) {
     config.n_threads = n_threads;
-    BatchRunner runner(nor_factory(), "out", config);
+    BatchRunner runner(nor_factory(), {"out"}, config);
     return runner.run();
   };
   const auto one = run_with(1);
@@ -282,8 +290,8 @@ TEST(BatchRunner, PerRunEventBudgetTerminatesRunsNotTheBatch) {
   }
   // Terminated runs contribute no histogram samples (partial traces would
   // skew the distributions silently).
-  EXPECT_EQ(one.pulse_width.count(), 0u);
-  EXPECT_EQ(one.response_delay.count(), 0u);
+  EXPECT_EQ(one.nets.front().pulse_width.count(), 0u);
+  EXPECT_EQ(one.nets.front().response_delay.count(), 0u);
   for (std::size_t n_threads : {2u, 4u}) {
     const auto many = run_with(n_threads);
     EXPECT_EQ(many.n_failed, one.n_failed);
@@ -297,7 +305,7 @@ TEST(BatchRunner, InjectedFaultIsolatesFailingRunsDeterministically) {
   const auto config = small_config();
 
   // Clean baseline, no plans armed.
-  BatchRunner baseline_runner(nor_factory(), "out", config);
+  BatchRunner baseline_runner(nor_factory(), {"out"}, config);
   const auto baseline = baseline_runner.run();
   ASSERT_TRUE(baseline.all_ok());
   ASSERT_EQ(baseline.diagnostics.size(), config.n_runs);
@@ -313,7 +321,7 @@ TEST(BatchRunner, InjectedFaultIsolatesFailingRunsDeterministically) {
     BatchConfig single = config;
     single.n_runs = 1;
     single.first_run_index = run;
-    BatchRunner one(nor_factory(), "out", single);
+    BatchRunner one(nor_factory(), {"out"}, single);
     ASSERT_TRUE(one.run().all_ok());
     solves.push_back(util::FaultInjector::fires("crossing.solve"));
   }
@@ -332,7 +340,7 @@ TEST(BatchRunner, InjectedFaultIsolatesFailingRunsDeterministically) {
         {util::FaultInjector::Action::kConvergenceError, threshold, 1});
     BatchConfig c = config;
     c.n_threads = n_threads;
-    BatchRunner runner(nor_factory(), "out", c);
+    BatchRunner runner(nor_factory(), {"out"}, c);
     return runner.run();
   };
   const auto one = faulted(1);
@@ -365,15 +373,17 @@ TEST(BatchRunner, InjectedFaultIsolatesFailingRunsDeterministically) {
     for (std::size_t run = 0; run < config.n_runs; ++run) {
       EXPECT_EQ(many.diagnostics[run].status, one.diagnostics[run].status);
     }
-    EXPECT_EQ(many.pulse_width.bins(), one.pulse_width.bins());
-    EXPECT_EQ(many.response_delay.sum(), one.response_delay.sum());
+    EXPECT_EQ(many.nets.front().pulse_width.bins(),
+              one.nets.front().pulse_width.bins());
+    EXPECT_EQ(many.nets.front().response_delay.sum(),
+              one.nets.front().response_delay.sum());
   }
 
   // The pool and its clones survive a faulted batch: a disarmed rerun on
   // the same runner reproduces the clean baseline bit-identically.
   BatchConfig c2 = config;
   c2.n_threads = 2;
-  BatchRunner persistent(nor_factory(), "out", c2);
+  BatchRunner persistent(nor_factory(), {"out"}, c2);
   util::FaultInjector::arm(
       "crossing.solve",
       {util::FaultInjector::Action::kConvergenceError, threshold, 1});
@@ -382,8 +392,10 @@ TEST(BatchRunner, InjectedFaultIsolatesFailingRunsDeterministically) {
   const auto clean = persistent.run();
   EXPECT_TRUE(clean.all_ok());
   EXPECT_EQ(clean.events_per_run, baseline.events_per_run);
-  EXPECT_EQ(clean.pulse_width.bins(), baseline.pulse_width.bins());
-  EXPECT_EQ(clean.response_delay.sum(), baseline.response_delay.sum());
+  EXPECT_EQ(clean.nets.front().pulse_width.bins(),
+            baseline.nets.front().pulse_width.bins());
+  EXPECT_EQ(clean.nets.front().response_delay.sum(),
+            baseline.nets.front().response_delay.sum());
 }
 
 }  // namespace

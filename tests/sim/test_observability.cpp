@@ -66,7 +66,7 @@ int count_spans(const obs::TraceRecorder::Snapshot& snapshot,
 }
 
 TEST(BatchRunnerObservability, MetricsCoverTheBatch) {
-  BatchRunner runner(nor_factory(), "out", small_config());
+  BatchRunner runner(nor_factory(), {"out"}, small_config());
   const auto result = runner.run();
   EXPECT_EQ(result.metrics.counter("batch.runs"),
             static_cast<long long>(result.n_runs));
@@ -91,7 +91,7 @@ TEST(BatchRunnerObservability, MetricsBitIdenticalAcrossThreadCounts) {
   auto metrics_with = [&](std::size_t n_threads) {
     BatchConfig config = small_config();
     config.n_threads = n_threads;
-    BatchRunner runner(nor_factory(), "out", config);
+    BatchRunner runner(nor_factory(), {"out"}, config);
     return runner.run().metrics.to_json();
   };
   const std::string one = metrics_with(1);
@@ -103,7 +103,7 @@ TEST(BatchRunnerObservability, CaptureRunExportsThatRunsTraces) {
   BatchConfig config = small_config();
   config.capture_run = 2;
   config.n_threads = 2;
-  BatchRunner runner(nor_factory(), "out", config);
+  BatchRunner runner(nor_factory(), {"out"}, config);
   const auto result = runner.run();
   // Inputs first (declaration order), then the observed net.
   ASSERT_EQ(result.captured.size(), 3u);
@@ -117,7 +117,7 @@ TEST(BatchRunnerObservability, CaptureRunExportsThatRunsTraces) {
   // whichever worker executed it.
   BatchConfig single = config;
   single.n_threads = 1;
-  const auto reference = BatchRunner(nor_factory(), "out", single).run();
+  const auto reference = BatchRunner(nor_factory(), {"out"}, single).run();
   ASSERT_EQ(reference.captured.size(), result.captured.size());
   for (std::size_t i = 0; i < result.captured.size(); ++i) {
     EXPECT_EQ(result.captured[i].trace.initial_value(),
@@ -128,14 +128,14 @@ TEST(BatchRunnerObservability, CaptureRunExportsThatRunsTraces) {
   // Out-of-range index captures nothing.
   BatchConfig off = config;
   off.capture_run = 99;
-  EXPECT_TRUE(BatchRunner(nor_factory(), "out", off).run().captured.empty());
+  EXPECT_TRUE(BatchRunner(nor_factory(), {"out"}, off).run().captured.empty());
 }
 
 TEST(BatchRunnerObservability, ArmedTracingSeesEveryRun) {
   ObsGuard guard;
   BatchConfig config = small_config();
   config.n_threads = 2;
-  BatchRunner runner(nor_factory(), "out", config);
+  BatchRunner runner(nor_factory(), {"out"}, config);
   obs::TraceRecorder::start();
   const auto result = runner.run();
   obs::TraceRecorder::stop();

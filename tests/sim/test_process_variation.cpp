@@ -191,14 +191,15 @@ TEST(BatchStats, VariationChangesTheAggregateAndNominalDoesNot) {
   BatchConfig with = stat_config();
   BatchConfig without = stat_config();
   without.variation = ProcessVariation{};  // disabled
-  BatchRunner a(nor_chain_factory(), "out", with);
-  BatchRunner b(nor_chain_factory(), "out", without);
+  BatchRunner a(nor_chain_factory(), {"out"}, with);
+  BatchRunner b(nor_chain_factory(), {"out"}, without);
   const auto va = a.run();
   const auto vb = b.run();
   ASSERT_TRUE(va.all_ok());
   ASSERT_TRUE(vb.all_ok());
   // Same stimuli, different process corners: the delay distribution moves.
-  EXPECT_NE(va.response_delay.sum(), vb.response_delay.sum());
+  EXPECT_NE(va.nets.front().response_delay.sum(),
+            vb.nets.front().response_delay.sum());
   // Nominal batches still produce the statistical queries.
   EXPECT_EQ(vb.stats.n_samples, vb.n_runs);
   EXPECT_GT(vb.stats.mean, 0.0);
@@ -255,7 +256,7 @@ TEST(BatchStats, QuantileYieldAndCriticalityAreInternallyConsistent) {
 TEST(BatchStats, SplitBatchViaFirstRunIndexMatchesTheFullBatch) {
   BatchConfig config = stat_config();
   config.n_runs = 12;
-  BatchRunner full(nor_chain_factory(), "out", config);
+  BatchRunner full(nor_chain_factory(), {"out"}, config);
   const auto whole = full.run();
 
   std::vector<long> events;
@@ -264,7 +265,7 @@ TEST(BatchStats, SplitBatchViaFirstRunIndexMatchesTheFullBatch) {
     BatchConfig part = config;
     part.n_runs = 6;
     part.first_run_index = half * 6;
-    BatchRunner runner(nor_chain_factory(), "out", part);
+    BatchRunner runner(nor_chain_factory(), {"out"}, part);
     const auto result = runner.run();
     events.insert(events.end(), result.events_per_run.begin(),
                   result.events_per_run.end());
@@ -280,7 +281,7 @@ TEST(BatchStats, SplitBatchViaFirstRunIndexMatchesTheFullBatch) {
 TEST(BatchStats, FailedRunsAreExcludedFromTheStatistics) {
   BatchConfig config = stat_config();
   config.budget.max_events = 30;  // every run trips the budget
-  BatchRunner runner(nor_chain_factory(), "out", config);
+  BatchRunner runner(nor_chain_factory(), {"out"}, config);
   const auto result = runner.run();
   EXPECT_EQ(result.n_failed, result.n_runs);
   EXPECT_EQ(result.stats.n_samples, 0u);
@@ -382,7 +383,8 @@ TEST(BatchStats, WholeResultIsBitIdenticalWithTrippedAndFailedRuns) {
   // Split via first_run_index: each half is thread-count invariant as a
   // whole, reproduces its slice of the full batch run for run, and the
   // halves' integer histogram counts add up to the full batch's.
-  std::vector<std::uint64_t> bins(one.pulse_width.bins().size(), 0);
+  std::vector<std::uint64_t> bins(
+      one.nets.front().pulse_width.bins().size(), 0);
   std::uint64_t response_count = 0;
   for (std::size_t half = 0; half < 2; ++half) {
     BatchConfig part = config;
@@ -399,12 +401,12 @@ TEST(BatchStats, WholeResultIsBitIdenticalWithTrippedAndFailedRuns) {
       EXPECT_EQ(a.diagnostics[r].error, one.diagnostics[full].error);
     }
     for (std::size_t b = 0; b < bins.size(); ++b) {
-      bins[b] += a.pulse_width.bins()[b];
+      bins[b] += a.nets.front().pulse_width.bins()[b];
     }
-    response_count += a.response_delay.count();
+    response_count += a.nets.front().response_delay.count();
   }
-  EXPECT_EQ(bins, one.pulse_width.bins());
-  EXPECT_EQ(response_count, one.response_delay.count());
+  EXPECT_EQ(bins, one.nets.front().pulse_width.bins());
+  EXPECT_EQ(response_count, one.nets.front().response_delay.count());
 }
 
 }  // namespace
