@@ -166,5 +166,91 @@ TEST(CounterRng, NormalClampedRespectsTruncation) {
   EXPECT_TRUE(saw_tail);  // the clamp truncates, it does not squash
 }
 
+// The first eight draws of every distribution, bit for bit (hex-float
+// literals). A change to the engine or to any distribution's algorithm moves
+// these values; such a change must re-pin them on purpose.
+template <class Draw>
+std::vector<double> first_eight(Draw draw) {
+  std::vector<double> out;
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<double>(draw()));
+  return out;
+}
+
+TEST(RngPins, Uniform) {
+  Rng rng(2022);
+  EXPECT_EQ(first_eight([&] { return rng.uniform(-1.0, 3.0); }),
+            (std::vector<double>{0x1.e07649553512ep-1, -0x1.62ef0f5869ebp-1,
+                                 -0x1.0d5e3267bd9bap-2, 0x1.9d29b313ab994p-2,
+                                 0x1.7d7642d1135d3p+1, 0x1.96801a8d660cp-4,
+                                 0x1.1ac2f1d5eaa4p-6, 0x1.4e8797c089e7cp-2}));
+}
+
+TEST(RngPins, Normal) {
+  Rng rng(2022);
+  EXPECT_EQ(first_eight([&] { return rng.normal(10.0, 2.0); }),
+            (std::vector<double>{0x1.0be83dd5ebd1p+3, 0x1.1f4031955c349p+3,
+                                 0x1.0becb53b5f658p+3, 0x1.df26d978e7fbcp+3,
+                                 0x1.1bc615b4c55d9p+3, 0x1.41a86ef79419bp+3,
+                                 0x1.434cd8949d2fdp+3, 0x1.7d0cf5fa608b8p+3}));
+}
+
+TEST(RngPins, NormalAbove) {
+  // lo sits half a sigma below the mean, so about 31% of draws resample.
+  Rng rng(2022);
+  EXPECT_EQ(first_eight([&] { return rng.normal_above(1.0, 1.0, 0.5); }),
+            (std::vector<double>{0x1.be4db2f1cff77p+1, 0x1.06a1bbde5066ep+0,
+                                 0x1.0d33625274bf6p+0, 0x1.f433d7e9822ep+0,
+                                 0x1.b67efa82acdd3p+0, 0x1.89327691512efp+0,
+                                 0x1.f9a85c16cd7c5p-1, 0x1.3893080eafc64p+0}));
+}
+
+TEST(RngPins, UniformInt) {
+  Rng rng(2022);
+  EXPECT_EQ(first_eight([&] { return rng.uniform_int(-3, 9); }),
+            (std::vector<double>{3, -3, -1, 1, 9, 0, 0, 1}));
+}
+
+TEST(RngPins, Bernoulli) {
+  Rng rng(2022);
+  EXPECT_EQ(first_eight([&] { return rng.bernoulli(0.3); }),
+            (std::vector<double>{0, 1, 1, 0, 0, 1, 1, 0}));
+}
+
+TEST(RngPins, Fork) {
+  Rng parent(2022);
+  Rng child = parent.fork();
+  EXPECT_EQ(first_eight([&] { return child.uniform(0.0, 1.0); }),
+            (std::vector<double>{0x1.d74a7aea09678p-1, 0x1.45473926e5cd2p-2,
+                                 0x1.f5088ff6a0103p-1, 0x1.f037a531c5b01p-3,
+                                 0x1.0d8f03e594193p-2, 0x1.8e129ccff6557p-1,
+                                 0x1.705d9b94230e1p-1, 0x1.cc11c5d5e000dp-2}));
+  EXPECT_EQ(first_eight([&] { return parent.uniform(0.0, 1.0); }),
+            (std::vector<double>{0x1.3a21e14f2c2a1p-4, 0x1.7950e6cc21323p-3,
+                                 0x1.674a6cc4eae65p-2, 0x1.fd7642d1135d3p-1,
+                                 0x1.196801a8d660cp-2, 0x1.046b0bc757aa9p-2,
+                                 0x1.53a1e5f02279fp-2, 0x1.d24eb2250f8e8p-1}));
+}
+
+TEST(RngPins, NormalClamped) {
+  // A clamp at one sigma: the second and seventh draws hit it.
+  CounterRng rng(5, 0);
+  EXPECT_EQ(first_eight([&] { return rng.normal_clamped(0.0, 1.0, 1.0); }),
+            (std::vector<double>{-0x1.b7adbcb93bc5ap-4, 0x1p+0,
+                                 -0x1.0531f48b41541p-1, 0x1.5dd3b37e1708fp-1,
+                                 0x1.59e44842192a4p-2, 0x1.d0dc48109dc0dp-2,
+                                 0x1p+0, -0x1.f2d9f3537cc98p-1}));
+}
+
+TEST(RngPins, KeyedStream) {
+  CounterRng rng(2022, 17);
+  std::vector<std::uint64_t> words;
+  for (int i = 0; i < 8; ++i) words.push_back(rng.next_u64());
+  EXPECT_EQ(words, (std::vector<std::uint64_t>{
+                       0x4f71086717abdf57u, 0x7473960bf0d84518u,
+                       0xa722376bb9cefba3u, 0x4b04746a07572c91u,
+                       0x21ea2341b6205d92u, 0x8ae28b82f3bbfdd7u,
+                       0x1d32da5d0fd4add8u, 0x7329630c170fca52u}));
+}
+
 }  // namespace
 }  // namespace charlie::util
