@@ -125,8 +125,9 @@ int main(int argc, char** argv) {
       << "  2000/1000-G: inertial 1.00, Exp 1.60, HM w/o 1.15, HM 0.97\n"
       << "  5000/5-G   : inertial 1.00, Exp 1.65, HM w/o 1.01, HM 1.01\n"
       << "Expected agreements: HM-with-dmin wins for short pulses; HM\n"
-      << "without dmin is worse than inertial. See EXPERIMENTS.md for the\n"
-      << "discussion of the GLOBAL columns (our fixed-slew substrate has\n"
-      << "no common error floor, so HM keeps winning there).\n";
+      << "without dmin is worse than inertial. See docs/interconnect.md,\n"
+      << "\"The gate experiment (Fig 7)\", for the GLOBAL columns (our\n"
+      << "fixed-slew substrate has no common error floor, so HM keeps\n"
+      << "winning there).\n";
   return 0;
 }

@@ -11,10 +11,11 @@
 // CircuitBuilder::build_sharded realistic low-cut partition points.
 //
 // Generation is deterministic for a fixed config (one util::Rng stream
-// seeded by config.seed) and always yields a valid acyclic netlist:
-// layer-by-layer construction cannot create a cycle, every net has exactly
-// one driver, and wire geometries repeat from a small preset pool so the
-// builder's wire-table collapse is memoized, not re-derived per wire.
+// keyed by config.seed, the same under any C++ standard library) and always
+// yields a valid acyclic netlist: layer-by-layer construction cannot create
+// a cycle, every net has exactly one driver, and wire geometries repeat from
+// a small preset pool so the builder's wire-table collapse is memoized, not
+// re-derived per wire.
 #pragma once
 
 #include <cstddef>

@@ -238,7 +238,7 @@ BatchResult BatchRunner::run() {
     // first_run_index reproduces per-run content exactly.
     const std::uint64_t index = config_.first_run_index + run;
     RunSpec spec;
-    spec.stimulus_seed = util::CounterRng(config_.base_seed, index).next_u64();
+    spec.stimulus_seed = util::Rng(config_.base_seed, index).next_u64();
     if (config_.variation.enabled()) {
       spec.point = config_.variation.sample(config_.base_seed, index);
     }

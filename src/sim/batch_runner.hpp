@@ -77,9 +77,9 @@ struct BatchConfig {
   waveform::TraceConfig trace;   // stimulus statistics, per run
   std::size_t n_runs = 16;
   // Run i's stimulus stream and process sample are pure functions of
-  // (base_seed, first_run_index + i) through counter-based RNG keys (see
-  // util::CounterRng), so per-run content is independent of the thread
-  // count and of how a batch is split across BatchRunner instances.
+  // (base_seed, first_run_index + i) through keyed util::Rng streams, so
+  // per-run content is independent of the thread count and of how a batch
+  // is split across BatchRunner instances.
   std::uint64_t base_seed = 1;
   std::uint64_t first_run_index = 0;  // global index of this batch's run 0
   std::size_t n_threads = 1;     // 0 = hardware concurrency

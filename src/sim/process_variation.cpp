@@ -42,10 +42,10 @@ void ProcessVariation::validate() const {
 
 core::ProcessPoint ProcessVariation::sample(std::uint64_t seed,
                                             std::uint64_t run_index) const {
-  util::CounterRng rng(seed ^ kProcessStreamSalt, run_index);
+  util::Rng rng(seed ^ kProcessStreamSalt, run_index);
   core::ProcessPoint p;
-  // Always draw all three axes: the stream layout (two uniforms per draw)
-  // must not depend on which sigmas are active. A zero sigma returns the
+  // Always draw all three axes: the stream layout (one standard normal per
+  // axis) must not depend on which sigmas are active. A zero sigma returns the
   // mean exactly, so inactive axes stay bit-exactly nominal.
   p.vdd_scale = rng.normal_clamped(1.0, vdd_sigma, kMaxSigma);
   p.vth_shift = rng.normal_clamped(0.0, vth_sigma, kMaxSigma);

@@ -6,17 +6,39 @@
 
 namespace charlie::util {
 
+Rng::Rng(std::uint64_t seed, std::uint64_t stream)
+    // Two mix rounds keyed by (seed, stream) decorrelate adjacent streams and
+    // adjacent seeds; without the second round, streams for (s, i) and
+    // (s+1, i-1) style key pairs would share long prefixes.
+    : state_(mix64(mix64(seed + kGamma) ^ (stream * kGamma + 1))) {}
+
 double Rng::uniform(double lo, double hi) {
   CHARLIE_ASSERT(lo <= hi);
-  std::uniform_real_distribution<double> dist(lo, hi);
-  return dist(engine_);
+  return lo + (hi - lo) * uniform01();
 }
 
 double Rng::normal(double mu, double sigma) {
   CHARLIE_ASSERT(sigma >= 0.0);
   if (sigma == 0.0) return mu;
-  std::normal_distribution<double> dist(mu, sigma);
-  return dist(engine_);
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;
+    return mu + sigma * cached_normal_;
+  }
+  // Marsaglia's polar method: a point uniform in the unit disc (rejection
+  // from the square, acceptance pi/4) maps to two independent standard
+  // normals u * f and v * f.
+  double u = 0.0;
+  double v = 0.0;
+  double s = 0.0;
+  do {
+    u = 2.0 * uniform01() - 1.0;
+    v = 2.0 * uniform01() - 1.0;
+    s = u * u + v * v;
+  } while (s >= 1.0 || s == 0.0);
+  const double f = std::sqrt(-2.0 * std::log(s) / s);
+  cached_normal_ = v * f;
+  has_cached_normal_ = true;
+  return mu + sigma * (u * f);
 }
 
 double Rng::normal_above(double mu, double sigma, double lo) {
@@ -30,76 +52,40 @@ double Rng::normal_above(double mu, double sigma, double lo) {
   return lo + (mu > lo ? mu - lo : sigma);  // pathological sigma: clamp
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  CHARLIE_ASSERT(lo <= hi);
-  std::uniform_int_distribution<std::int64_t> dist(lo, hi);
-  return dist(engine_);
-}
-
-bool Rng::bernoulli(double p) {
-  CHARLIE_ASSERT(p >= 0.0 && p <= 1.0);
-  std::bernoulli_distribution dist(p);
-  return dist(engine_);
-}
-
-Rng Rng::fork() {
-  // Derive a child seed from the parent stream; golden-ratio increment
-  // decorrelates consecutive forks.
-  const std::uint64_t child = engine_() ^ 0x9e3779b97f4a7c15ULL;
-  return Rng(child);
-}
-
-namespace {
-
-// splitmix64 finalizer (Steele/Lea/Flood): full-avalanche 64-bit mix.
-std::uint64_t mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
-
-}  // namespace
-
-CounterRng::CounterRng(std::uint64_t seed, std::uint64_t index)
-    // Two mix rounds keyed by (seed, index) decorrelate adjacent indices and
-    // adjacent seeds; without the second round, streams for (s, i) and
-    // (s+1, i-1) style key pairs would share long prefixes.
-    : state_(mix64(mix64(seed + kGamma) ^ (index * kGamma + 1))) {}
-
-std::uint64_t CounterRng::next_u64() {
-  state_ += kGamma;
-  return mix64(state_);
-}
-
-double CounterRng::uniform01() {
-  // Top 53 bits -> [0, 1) on the double grid.
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-double CounterRng::uniform(double lo, double hi) {
-  CHARLIE_ASSERT(lo <= hi);
-  return lo + (hi - lo) * uniform01();
-}
-
-double CounterRng::normal(double mu, double sigma) {
-  CHARLIE_ASSERT(sigma >= 0.0);
-  // Box-Muller, cosine branch only: exactly two uniforms per draw keeps the
-  // stream layout fixed (important for reproducibility across refactors).
-  const double u1 = uniform01();
-  const double u2 = uniform01();
-  const double r = std::sqrt(-2.0 * std::log(1.0 - u1));  // 1-u1 in (0,1]
-  const double z = r * std::cos(2.0 * 3.14159265358979323846 * u2);
-  return mu + sigma * z;
-}
-
-double CounterRng::normal_clamped(double mu, double sigma, double max_sigma) {
+double Rng::normal_clamped(double mu, double sigma, double max_sigma) {
   CHARLIE_ASSERT(max_sigma > 0.0);
   double z = normal(0.0, 1.0);
   if (z < -max_sigma) z = -max_sigma;
   if (z > max_sigma) z = max_sigma;
   return mu + sigma * z;
 }
+
+std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
+  CHARLIE_ASSERT(lo <= hi);
+  // Width of [lo, hi] modulo 2^64; 0 means all 2^64 values.
+  const std::uint64_t range =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+  if (range == 0) return static_cast<std::int64_t>(next_u64());
+  // The high word of word * range is uniform on [0, range) once the low
+  // word's first (2^64 mod range) values are rejected.
+  unsigned __int128 m = static_cast<unsigned __int128>(next_u64()) * range;
+  auto low = static_cast<std::uint64_t>(m);
+  if (low < range) {
+    const std::uint64_t threshold = (0 - range) % range;  // 2^64 mod range
+    while (low < threshold) {
+      m = static_cast<unsigned __int128>(next_u64()) * range;
+      low = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   static_cast<std::uint64_t>(m >> 64));
+}
+
+bool Rng::bernoulli(double p) {
+  CHARLIE_ASSERT(p >= 0.0 && p <= 1.0);
+  return uniform01() < p;
+}
+
+Rng Rng::fork() { return Rng(next_u64()); }
 
 }  // namespace charlie::util

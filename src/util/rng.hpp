@@ -1,73 +1,83 @@
 // Deterministic random number generation.
 //
-// All stochastic components (trace generators, fitting restarts, Monte-Carlo
-// benches) draw from an explicitly seeded Rng so experiments are exactly
-// reproducible run-to-run.
+// All stochastic components (trace generators, generated netlists, process
+// samples, fitting restarts, Monte-Carlo benches) draw from one explicitly
+// seeded generator, so experiments are exactly reproducible run-to-run. The
+// engine and every distribution are written out in rng.cpp, so a stream is a
+// function of its key alone, not of the C++ standard library it is built
+// with.
 #pragma once
 
 #include <cstdint>
-#include <random>
 
 namespace charlie::util {
 
+/// Counter-based stream keyed by (seed, stream): a splitmix64 generator
+/// (Steele, Lea and Flood, OOPSLA 2014) whose state is a mix of the key, so
+/// the stream for key k is a pure function of k and never depends on how many
+/// other streams were drawn first. This is what makes Monte-Carlo sample k's
+/// draws order-independent: any worker, on any thread, at any time
+/// reconstructs exactly the same stream from (base_seed, run_index).
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : engine_(seed) {}
+  explicit Rng(std::uint64_t seed, std::uint64_t stream = 0);
 
-  /// Uniform double in [lo, hi).
+  /// Next raw 64-bit word: splitmix64 (a Weyl sequence by the golden-ratio
+  /// increment, finished by a full-avalanche mix).
+  std::uint64_t next_u64() {
+    state_ += kGamma;
+    return mix64(state_);
+  }
+
+  /// Uniform double in [0, 1): the top 53 bits of one word.
+  double uniform01() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
+
+  /// Uniform double in [lo, hi): lo + (hi - lo) * uniform01().
   double uniform(double lo, double hi);
 
-  /// Normal with mean `mu` and standard deviation `sigma` (sigma >= 0).
+  /// Normal with mean `mu` and standard deviation `sigma` (sigma >= 0) by
+  /// Marsaglia's polar method. Each accepted pair yields two variates; the
+  /// second is cached and returned by the next call. sigma == 0 returns mu
+  /// and draws nothing.
   double normal(double mu, double sigma);
 
-  /// Normal truncated to values > lo (resampled; lo must be < mu + 8 sigma).
+  /// Normal truncated to values > lo: normal() resampled until a draw clears
+  /// lo (lo must be < mu + 8 sigma).
   double normal_above(double mu, double sigma, double lo);
-
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
-  /// Bernoulli trial with probability `p` of true.
-  bool bernoulli(double p);
-
-  /// Fork an independent, deterministically derived stream (for per-run
-  /// streams inside repeated experiments).
-  Rng fork();
-
-  std::mt19937_64& engine() { return engine_; }
-
- private:
-  std::mt19937_64 engine_;
-};
-
-/// Counter-based stream keyed by (seed, index): a splitmix64 generator whose
-/// state is a mix of the key, so the stream for index k is a pure function of
-/// the key and never depends on how many other streams were drawn first.
-/// This is what makes Monte-Carlo sample k's draws order-independent: any
-/// worker, on any thread, at any time reconstructs exactly the same stream
-/// from (base_seed, run_index).
-class CounterRng {
- public:
-  CounterRng(std::uint64_t seed, std::uint64_t index);
-
-  /// Next raw 64-bit word of the stream.
-  std::uint64_t next_u64();
-
-  /// Uniform double in [0, 1) with 53 random bits.
-  double uniform01();
-
-  /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
-
-  /// Normal(mu, sigma) via Box-Muller (two uniforms per draw; sigma >= 0).
-  double normal(double mu, double sigma);
 
   /// Normal(mu, sigma) with the standard score clamped to [-max_sigma,
   /// +max_sigma]; truncation keeps sampled process points inside the span a
-  /// collocation grid was built for.
+  /// collocation grid was built for. Always draws one standard normal, so
+  /// the stream layout does not depend on sigma.
   double normal_clamped(double mu, double sigma, double max_sigma);
 
+  /// Uniform integer in [lo, hi] inclusive, by Lemire's nearly-divisionless
+  /// multiply-and-reject ("Fast random integer generation in an interval",
+  /// ACM TOMACS 2019): unbiased, and a division only on the rare reject path.
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
+
+  /// Bernoulli trial with probability `p` of true: uniform01() < p.
+  bool bernoulli(double p);
+
+  /// Fork an independent, deterministically derived stream (for per-run
+  /// streams inside repeated experiments): the child is keyed by the
+  /// parent's next word, so the fork advances the parent by one word.
+  Rng fork();
+
  private:
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+
+  static std::uint64_t mix64(std::uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
   std::uint64_t state_;
+  double cached_normal_ = 0.0;  // second variate of the last polar pair
+  bool has_cached_normal_ = false;
 };
 
 }  // namespace charlie::util

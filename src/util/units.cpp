@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 namespace charlie::units {
 namespace {
@@ -12,26 +13,28 @@ struct Scale {
   const char* suffix;
 };
 
+// "<value> <suffix>" at `precision` decimals. A value that rounds to zero
+// prints without a sign: "0.000 as", never "-0.000 as".
+std::string print_scaled(double value, int precision, const char* suffix) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f %s", precision, value, suffix);
+  const char* digits = buf + 1;
+  const bool all_zero = std::strspn(digits, "0.") == std::strcspn(digits, " ");
+  return buf[0] == '-' && all_zero ? digits : buf;
+}
+
 std::string format_scaled(double value, int precision,
                           const std::array<Scale, 7>& scales,
                           const char* base_suffix) {
   const double mag = std::fabs(value);
-  char buf[64];
-  if (mag == 0.0) {
-    std::snprintf(buf, sizeof buf, "%.*f %s", precision, 0.0, base_suffix);
-    return buf;
-  }
+  if (mag == 0.0) return print_scaled(0.0, precision, base_suffix);
   for (const auto& s : scales) {
     if (mag >= s.factor) {
-      std::snprintf(buf, sizeof buf, "%.*f %s", precision, value / s.factor,
-                    s.suffix);
-      return buf;
+      return print_scaled(value / s.factor, precision, s.suffix);
     }
   }
   const auto& last = scales.back();
-  std::snprintf(buf, sizeof buf, "%.*f %s", precision, value / last.factor,
-                last.suffix);
-  return buf;
+  return print_scaled(value / last.factor, precision, last.suffix);
 }
 
 }  // namespace

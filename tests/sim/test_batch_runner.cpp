@@ -107,7 +107,12 @@ TEST(BatchRunner, SeedsChangeResults) {
   BatchRunner a(nor_factory(), {"out"}, config);
   config.base_seed = 4242;
   BatchRunner b(nor_factory(), {"out"}, config);
-  EXPECT_NE(a.run().total_events, b.run().total_events);
+  // Compare per-run content: two seeds can happen to give equal batch
+  // totals (seeds 42 and 4242 both give 1340 events here).
+  const BatchResult ra = a.run();
+  const BatchResult rb = b.run();
+  EXPECT_NE(ra.events_per_run, rb.events_per_run);
+  EXPECT_NE(ra.critical_delays, rb.critical_delays);
 }
 
 TEST(BatchRunner, WorksWithSisChannels) {

@@ -93,43 +93,43 @@ constexpr double kEnd = 60e-9;
 TEST(ChannelPins, HybridNor2Trace) {
   HybridGateChannel ch(core::GateParams::nor2_reference());
   const auto in = stimuli(2, 40e-12, 11);
-  expect_pin(run_gate_channel(ch, in, 0.0, kEnd), 0xe653b87bc52173afull, 64);
+  expect_pin(run_gate_channel(ch, in, 0.0, kEnd), 0x4fce187b2fab9157ull, 72);
 }
 
 TEST(ChannelPins, HybridNand3Trace) {
   HybridGateChannel ch(core::GateParams::nand3_reference());
   const auto in = stimuli(3, 150e-12, 12);
-  expect_pin(run_gate_channel(ch, in, 0.0, kEnd), 0xa3da936f3104caecull, 64);
+  expect_pin(run_gate_channel(ch, in, 0.0, kEnd), 0x66aab52eeea3f494ull, 48);
 }
 
 TEST(ChannelPins, WireTrace) {
   WireChannel ch(wire::WireParams::reference());
   const auto in = stimuli(1, 50e-12, 13);
-  expect_pin(run_sis_channel(ch, in[0], 0.0, kEnd), 0x04d03b960f92e218ull, 208);
+  expect_pin(run_sis_channel(ch, in[0], 0.0, kEnd), 0x63f08fe27adbec6eull, 224);
 }
 
 TEST(ChannelPins, ExpTrace) {
   ExpChannel ch(exp_params());
   const auto in = stimuli(1, 30e-12, 14);
-  expect_pin(run_sis_channel(ch, in[0], 0.0, kEnd), 0x110a54fa8592263cull, 256);
+  expect_pin(run_sis_channel(ch, in[0], 0.0, kEnd), 0x0d6c020ff34d6affull, 246);
 }
 
 TEST(ChannelPins, SumExpTrace) {
   SumExpChannel ch(sumexp_params());
   const auto in = stimuli(1, 30e-12, 15);
-  expect_pin(run_sis_channel(ch, in[0], 0.0, kEnd), 0xc8834443dd3082edull, 270);
+  expect_pin(run_sis_channel(ch, in[0], 0.0, kEnd), 0xff1ccf798d9badbbull, 282);
 }
 
 TEST(ChannelPins, InertialTrace) {
   InertialChannel ch(25e-12, 20e-12);
   const auto in = stimuli(1, 30e-12, 16);
-  expect_pin(run_sis_channel(ch, in[0], 0.0, kEnd), 0xb9c10f4acdcc717cull, 156);
+  expect_pin(run_sis_channel(ch, in[0], 0.0, kEnd), 0x98bcd1281f1efcc0ull, 142);
 }
 
 TEST(ChannelPins, PureDelayTrace) {
   PureDelayChannel ch(17e-12);
   const auto in = stimuli(1, 30e-12, 17);
-  expect_pin(run_sis_channel(ch, in[0], 0.0, kEnd), 0xcd0ac70c7e4e3468ull, 300);
+  expect_pin(run_sis_channel(ch, in[0], 0.0, kEnd), 0x43a198ee68b41947ull, 300);
 }
 
 TEST(ChannelPins, CircuitOfEveryChannel) {
@@ -160,8 +160,8 @@ TEST(ChannelPins, CircuitOfEveryChannel) {
   ASSERT_TRUE(result.ok());
   std::uint64_t h = kFnvOffset;
   for (const auto& trace : result.traces) h = trace_digest(h, trace);
-  EXPECT_EQ(h, 0xd4f635ed74287d7aull);
-  EXPECT_EQ(result.n_events, 1908);
+  EXPECT_EQ(h, 0xecb2852b7af160cbull);
+  EXPECT_EQ(result.n_events, 1878);
 }
 
 }  // namespace

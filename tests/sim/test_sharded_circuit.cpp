@@ -139,13 +139,13 @@ TEST(ShardedCircuit, PartitionIsPinned) {
     std::uint64_t shard_metrics;
   };
   const std::vector<Expected> pins = {
-      {2, {3108, 2146}, {32, 723}, 723, 0x6d7044f72aadcf9aULL},
-      {3, {1316, 1792, 2146}, {32, 707, 723}, 1428, 0x33ee548ca540e7eeULL},
+      {2, {2872, 2407}, {32, 746}, 746, 0x3461d771d3ef7d39ULL},
+      {3, {1321, 2589, 1369}, {32, 703, 738}, 1440, 0xb1875407e5d7a8d9ULL},
       {4,
-       {1001, 1947, 1257, 1049},
-       {32, 669, 702, 706},
-       2068,
-       0xb67a88750058932fULL},
+       {993, 1879, 1415, 992},
+       {32, 673, 732, 698},
+       2093,
+       0xa04c38e687e0d750ULL},
   };
   const auto b = builder();
   const auto stimuli = stimuli_for(generated().inputs.size(), 11, 20);
@@ -165,7 +165,7 @@ TEST(ShardedCircuit, PartitionIsPinned) {
     config.n_threads = 2;
     const auto result = sharded->simulate(stimuli, 0.0, t_end, config);
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.n_events, 20920) << "K=" << pin.n_shards;
+    EXPECT_EQ(result.n_events, 19536) << "K=" << pin.n_shards;
     EXPECT_EQ(shard_metrics_digest(result.metrics.to_json()),
               pin.shard_metrics)
         << "K=" << pin.n_shards;

@@ -97,9 +97,11 @@ TEST(Rng, ForkedStreamsAreIndependentAndReproducible) {
   EXPECT_DOUBLE_EQ(parent1.uniform(0.0, 1.0), parent2.uniform(0.0, 1.0));
 }
 
+// Keyed (seed, stream) streams: the counter-based scheme that makes
+// Monte-Carlo runs order-independent.
 TEST(CounterRng, StreamIsPureFunctionOfKey) {
-  CounterRng a(2022, 17);
-  CounterRng b(2022, 17);
+  Rng a(2022, 17);
+  Rng b(2022, 17);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
@@ -108,13 +110,13 @@ TEST(CounterRng, OrderIndependentAcrossIndices) {
   // ever touched: reconstructing the stream fresh gives identical words.
   std::vector<std::uint64_t> sequential;
   for (std::uint64_t idx = 0; idx < 8; ++idx) {
-    CounterRng rng(7, idx);
+    Rng rng(7, idx);
     for (int i = 0; i < 4; ++i) sequential.push_back(rng.next_u64());
   }
   // Reverse visiting order.
   std::vector<std::uint64_t> reversed(sequential.size());
   for (std::uint64_t idx = 8; idx-- > 0;) {
-    CounterRng rng(7, idx);
+    Rng rng(7, idx);
     for (int i = 0; i < 4; ++i) reversed[idx * 4 + i] = rng.next_u64();
   }
   EXPECT_EQ(sequential, reversed);
@@ -122,9 +124,9 @@ TEST(CounterRng, OrderIndependentAcrossIndices) {
 
 TEST(CounterRng, AdjacentKeysDecorrelate) {
   // (seed, index) and (seed+1, index), (seed, index+1) must all differ.
-  CounterRng a(100, 0);
-  CounterRng b(101, 0);
-  CounterRng c(100, 1);
+  Rng a(100, 0);
+  Rng b(101, 0);
+  Rng c(100, 1);
   int same_ab = 0;
   int same_ac = 0;
   for (int i = 0; i < 64; ++i) {
@@ -137,7 +139,7 @@ TEST(CounterRng, AdjacentKeysDecorrelate) {
 }
 
 TEST(CounterRng, Uniform01InUnitInterval) {
-  CounterRng rng(1, 2);
+  Rng rng(1, 2);
   for (int i = 0; i < 2000; ++i) {
     const double v = rng.uniform01();
     EXPECT_GE(v, 0.0);
@@ -146,7 +148,7 @@ TEST(CounterRng, Uniform01InUnitInterval) {
 }
 
 TEST(CounterRng, NormalMomentsApproximate) {
-  CounterRng rng(99, 3);
+  Rng rng(99, 3);
   std::vector<double> samples;
   samples.reserve(20000);
   for (int i = 0; i < 20000; ++i) samples.push_back(rng.normal(10.0, 2.0));
@@ -155,7 +157,7 @@ TEST(CounterRng, NormalMomentsApproximate) {
 }
 
 TEST(CounterRng, NormalClampedRespectsTruncation) {
-  CounterRng rng(5, 0);
+  Rng rng(5, 0);
   bool saw_tail = false;
   for (int i = 0; i < 5000; ++i) {
     const double v = rng.normal_clamped(0.0, 1.0, 2.0);
@@ -179,70 +181,72 @@ std::vector<double> first_eight(Draw draw) {
 TEST(RngPins, Uniform) {
   Rng rng(2022);
   EXPECT_EQ(first_eight([&] { return rng.uniform(-1.0, 3.0); }),
-            (std::vector<double>{0x1.e07649553512ep-1, -0x1.62ef0f5869ebp-1,
-                                 -0x1.0d5e3267bd9bap-2, 0x1.9d29b313ab994p-2,
-                                 0x1.7d7642d1135d3p+1, 0x1.96801a8d660cp-4,
-                                 0x1.1ac2f1d5eaa4p-6, 0x1.4e8797c089e7cp-2}));
+            (std::vector<double>{0x1.1ba52c95a4dap+1, 0x1.0b1555f3b71c8p-1,
+                                 -0x1.4db86f9415adp-3, 0x1.458ec4da4df98p-2,
+                                 0x1.caca84f270cap-1, -0x1.121bb1991ba4p-3,
+                                 -0x1.acc9a0c41f25p-3, 0x1.442fe8fdde27p+1}));
 }
 
 TEST(RngPins, Normal) {
   Rng rng(2022);
   EXPECT_EQ(first_eight([&] { return rng.normal(10.0, 2.0); }),
-            (std::vector<double>{0x1.0be83dd5ebd1p+3, 0x1.1f4031955c349p+3,
-                                 0x1.0becb53b5f658p+3, 0x1.df26d978e7fbcp+3,
-                                 0x1.1bc615b4c55d9p+3, 0x1.41a86ef79419bp+3,
-                                 0x1.434cd8949d2fdp+3, 0x1.7d0cf5fa608b8p+3}));
+            (std::vector<double>{0x1.8db6847e977dp+3, 0x1.216db58f63f2bp+3,
+                                 0x1.f553905857b56p+2, 0x1.175574a051198p+3,
+                                 0x1.373b29031b5ep+3, 0x1.c0a816f017db6p+2,
+                                 0x1.33b105f5fead1p+3, 0x1.4f99702cb9ee1p+3}));
 }
 
 TEST(RngPins, NormalAbove) {
   // lo sits half a sigma below the mean, so about 31% of draws resample.
   Rng rng(2022);
   EXPECT_EQ(first_eight([&] { return rng.normal_above(1.0, 1.0, 0.5); }),
-            (std::vector<double>{0x1.be4db2f1cff77p+1, 0x1.06a1bbde5066ep+0,
-                                 0x1.0d33625274bf6p+0, 0x1.f433d7e9822ep+0,
-                                 0x1.b67efa82acdd3p+0, 0x1.89327691512efp+0,
-                                 0x1.f9a85c16cd7c5p-1, 0x1.3893080eafc64p+0}));
+            (std::vector<double>{0x1.1b6d08fd2efa1p+1, 0x1.0b6dac7b1f957p-1,
+                                 0x1.b9d94818dafp-1, 0x1.9d882faff5689p-1,
+                                 0x1.3e65c0b2e7b86p+0, 0x1.239ebd6bd537ap+0,
+                                 0x1.0fe5d19be8ea6p-1, 0x1.8404e3104facep+1}));
 }
 
 TEST(RngPins, UniformInt) {
   Rng rng(2022);
   EXPECT_EQ(first_eight([&] { return rng.uniform_int(-3, 9); }),
-            (std::vector<double>{3, -3, -1, 1, 9, 0, 0, 1}));
+            (std::vector<double>{7, 1, -1, 1, 3, -1, -1, 8}));
 }
 
 TEST(RngPins, Bernoulli) {
   Rng rng(2022);
   EXPECT_EQ(first_eight([&] { return rng.bernoulli(0.3); }),
-            (std::vector<double>{0, 1, 1, 0, 0, 1, 1, 0}));
+            (std::vector<double>{0, 0, 1, 0, 0, 1, 1, 0}));
 }
 
 TEST(RngPins, Fork) {
   Rng parent(2022);
   Rng child = parent.fork();
   EXPECT_EQ(first_eight([&] { return child.uniform(0.0, 1.0); }),
-            (std::vector<double>{0x1.d74a7aea09678p-1, 0x1.45473926e5cd2p-2,
-                                 0x1.f5088ff6a0103p-1, 0x1.f037a531c5b01p-3,
-                                 0x1.0d8f03e594193p-2, 0x1.8e129ccff6557p-1,
-                                 0x1.705d9b94230e1p-1, 0x1.cc11c5d5e000dp-2}));
+            (std::vector<double>{0x1.670fa522dec3p-5, 0x1.776705a55c238p-2,
+                                 0x1.83bee5194f254p-2, 0x1.2a5ff092bd11ep-2,
+                                 0x1.6f01703e16d6p-2, 0x1.570b24daea244p-3,
+                                 0x1.03937fe37304fp-1, 0x1.25b6ff608f868p-4}));
   EXPECT_EQ(first_eight([&] { return parent.uniform(0.0, 1.0); }),
-            (std::vector<double>{0x1.3a21e14f2c2a1p-4, 0x1.7950e6cc21323p-3,
-                                 0x1.674a6cc4eae65p-2, 0x1.fd7642d1135d3p-1,
-                                 0x1.196801a8d660cp-2, 0x1.046b0bc757aa9p-2,
-                                 0x1.53a1e5f02279fp-2, 0x1.d24eb2250f8e8p-1}));
+            (std::vector<double>{0x1.858aaaf9db8e4p-2, 0x1.ac91e41afa94cp-3,
+                                 0x1.5163b136937e6p-2, 0x1.e56542793865p-2,
+                                 0x1.bb791399b917p-3, 0x1.94cd97cef836cp-3,
+                                 0x1.c42fe8fdde27p-1, 0x1.449756cf54b4ap-1}));
 }
 
 TEST(RngPins, NormalClamped) {
-  // A clamp at one sigma: the second and seventh draws hit it.
-  CounterRng rng(5, 0);
+  // A clamp at one sigma: the first two draws hit it.
+  Rng rng(5, 0);
   EXPECT_EQ(first_eight([&] { return rng.normal_clamped(0.0, 1.0, 1.0); }),
-            (std::vector<double>{-0x1.b7adbcb93bc5ap-4, 0x1p+0,
-                                 -0x1.0531f48b41541p-1, 0x1.5dd3b37e1708fp-1,
-                                 0x1.59e44842192a4p-2, 0x1.d0dc48109dc0dp-2,
-                                 0x1p+0, -0x1.f2d9f3537cc98p-1}));
+            (std::vector<double>{-0x1p+0, -0x1p+0, -0x1.3604347cadb65p-4,
+                                 -0x1.09220fc487938p-3, 0x1.68b0752c8ff2ep-1,
+                                 -0x1.9bdab7a67b565p-1, -0x1.ebb03c64b33e9p-2,
+                                 0x1.7c8f2cd126396p-1}));
 }
 
 TEST(RngPins, KeyedStream) {
-  CounterRng rng(2022, 17);
+  // The splitmix64 key schedule that derives Monte-Carlo run seeds; these
+  // words predate the repo's own distributions and did not move with them.
+  Rng rng(2022, 17);
   std::vector<std::uint64_t> words;
   for (int i = 0; i < 8; ++i) words.push_back(rng.next_u64());
   EXPECT_EQ(words, (std::vector<std::uint64_t>{

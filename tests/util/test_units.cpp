@@ -24,6 +24,17 @@ TEST(FormatTime, PicksEngineeringScale) {
   EXPECT_EQ(format_time(-5e-12, 0), "-5 ps");
 }
 
+TEST(FormatTime, TinyNegativeValuePrintsWithoutASign) {
+  // Below the smallest scale a tiny negative value used to print as
+  // "-0.000 as" (sta_report slacks on a generated 100k-gate netlist).
+  EXPECT_EQ(format_time(-1e-22), "0.000 as");
+  EXPECT_EQ(format_time(-4e-19, 0), "0 as");
+  EXPECT_EQ(format_voltage(-1e-19), "0.000 fV");
+  // A value that survives rounding keeps its sign.
+  EXPECT_EQ(format_time(-6e-22), "-0.001 as");
+  EXPECT_EQ(format_time(-6e-19, 0), "-1 as");
+}
+
 TEST(FormatResistance, PicksEngineeringScale) {
   EXPECT_EQ(format_resistance(45.15e3), "45.150 kOhm");
   EXPECT_EQ(format_resistance(2.0), "2.000 Ohm");

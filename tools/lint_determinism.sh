@@ -2,14 +2,19 @@
 # Static determinism lint: greps src/ for constructs that have historically
 # broken the repo's bit-identical-results guarantee (BatchRunner aggregates,
 # sharded simulation, corner caches are all reduced in fixed order from
-# seeded counter-RNG streams -- see docs/determinism.md if present, and the
-# BatchRunner header comment).
+# seeded util::Rng streams -- see the BatchRunner header comment).
 #
 # Findings and why they are banned:
 #   * rand() / srand()          -- hidden global state, platform-dependent
-#                                  sequences; use util::Rng / util::CounterRng.
+#                                  sequences; use util::Rng.
 #   * std::random_device        -- nondeterministic entropy; only util/rng may
 #                                  touch it (it currently does not).
+#   * std::mt19937* engines and std::*_distribution outside src/util/rng --
+#                                  the standard fixes an engine's sequence but
+#                                  not a distribution's algorithm, so draws
+#                                  would differ between C++ libraries; use
+#                                  util::Rng, whose distributions rng.cpp
+#                                  writes out.
 #   * time(0) / std::time / time(nullptr), std::chrono::*_clock::now() used
 #     as a seed -- wall-clock seeding makes runs unreproducible. Clocks are
 #     allowed in diagnostics (deadlines, wall-time reporting), so only
@@ -47,6 +52,12 @@ report "C rand()/srand() (use util::Rng)" \
 report "std::random_device outside src/util/rng" \
   "$(grep -rn 'random_device' src/ | grep -v '^src/util/rng' \
      | filter_allowed)"
+
+# Standard-library engines and distributions outside the RNG utility.
+report "std::mt19937* / std::*_distribution outside src/util/rng (use \
+util::Rng)" \
+  "$(grep -rnE 'std::mt19937|std::[a-z_]+_distribution' src/ \
+     | grep -v '^src/util/rng' | filter_allowed)"
 
 # Wall-clock seeding. Clock reads feeding anything named seed are flagged;
 # plain diagnostics timing is fine.
