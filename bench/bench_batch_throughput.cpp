@@ -1,11 +1,14 @@
 // Whole-circuit Monte-Carlo throughput: events/second through the indexed
 // event heap, single-thread vs. worker-pool scaling, with shared
-// NorModeTables across all gate instances. Complements the per-event
-// channel microbenches in bench_runtime_overhead.cpp.
+// NorModeTables across all gate instances, plus the per-run stimulus cost
+// (the generator and its normal draws). Complements the per-event channel
+// microbenches in bench_runtime_overhead.cpp.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/mode_tables.hpp"
 #include "sim/batch_runner.hpp"
@@ -104,6 +107,34 @@ void BM_CircuitMeshTrace(benchmark::State& state) {
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_CircuitMeshTrace);
+
+// The stimulus of one c432 Monte-Carlo run (perfbench `mc_c432`): 36
+// inputs x 64 transitions, gaps from N(150 ps, 60 ps) truncated at 1 ps,
+// refilled into reused traces the way a BatchRunner worker's arena is.
+// Each iteration seeds a fresh generator, as every run does.
+void BM_GenerateTraces(benchmark::State& state) {
+  waveform::TraceConfig trace;
+  trace.mu = 150e-12;
+  trace.sigma = 60e-12;
+  trace.n_transitions = 64;
+  std::vector<waveform::DigitalTrace> stimuli;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    util::Rng rng(++seed);
+    waveform::generate_traces_into(trace, 36, rng, stimuli);
+    benchmark::DoNotOptimize(stimuli.data());
+  }
+}
+BENCHMARK(BM_GenerateTraces);
+
+// One truncated-normal gap draw, the generator's inner step.
+void BM_RngNormalAbove(benchmark::State& state) {
+  util::Rng rng(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.normal_above(150e-12, 60e-12, 1e-12));
+  }
+}
+BENCHMARK(BM_RngNormalAbove);
 
 }  // namespace
 
