@@ -123,6 +123,7 @@ void BM_GenerateTraces(benchmark::State& state) {
     util::Rng rng(++seed);
     waveform::generate_traces_into(trace, 36, rng, stimuli);
     benchmark::DoNotOptimize(stimuli.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_GenerateTraces);

@@ -5,12 +5,33 @@
 #include "util/error.hpp"
 
 namespace charlie::util {
+namespace {
+
+// splitmix64 finalizer (Steele/Lea/Flood): full-avalanche 64-bit mix.
+std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+
+}  // namespace
 
 Rng::Rng(std::uint64_t seed, std::uint64_t stream)
     // Two mix rounds keyed by (seed, stream) decorrelate adjacent streams and
     // adjacent seeds; without the second round, streams for (s, i) and
     // (s+1, i-1) style key pairs would share long prefixes.
     : state_(mix64(mix64(seed + kGamma) ^ (stream * kGamma + 1))) {}
+
+std::uint64_t Rng::next_u64() {
+  state_ += kGamma;
+  return mix64(state_);
+}
+
+double Rng::uniform01() {
+  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+}
 
 double Rng::uniform(double lo, double hi) {
   CHARLIE_ASSERT(lo <= hi);

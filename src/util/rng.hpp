@@ -24,15 +24,10 @@ class Rng {
 
   /// Next raw 64-bit word: splitmix64 (a Weyl sequence by the golden-ratio
   /// increment, finished by a full-avalanche mix).
-  std::uint64_t next_u64() {
-    state_ += kGamma;
-    return mix64(state_);
-  }
+  std::uint64_t next_u64();
 
   /// Uniform double in [0, 1): the top 53 bits of one word.
-  double uniform01() {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-  }
+  double uniform01();
 
   /// Uniform double in [lo, hi): lo + (hi - lo) * uniform01().
   double uniform(double lo, double hi);
@@ -67,14 +62,6 @@ class Rng {
   Rng fork();
 
  private:
-  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
-
-  static std::uint64_t mix64(std::uint64_t z) {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
   std::uint64_t state_;
   double cached_normal_ = 0.0;  // second variate of the last polar pair
   bool has_cached_normal_ = false;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/error.hpp"
@@ -73,6 +74,64 @@ TEST(Rng, UniformIntInclusiveBounds) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
+}
+
+TEST(Rng, UniformIntHandlesDegenerateAndFullRanges) {
+  Rng rng(23);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.uniform_int(5, 5), 5);
+  // [INT64_MIN, INT64_MAX] spans all 2^64 values: both signs must appear.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  int negative = 0;
+  for (int i = 0; i < 1000; ++i) {
+    if (rng.uniform_int(kMin, kMax) < 0) ++negative;
+  }
+  EXPECT_NEAR(negative, 500, 80);
+}
+
+TEST(Rng, UniformIntIsUnbiasedWhereRejectionIsFrequent) {
+  // A width of 3 * 2^62 rejects a quarter of the raw words (2^64 mod width
+  // = 2^62); each twelfth of the interval must still get a twelfth of the
+  // draws, within 4.5 standard deviations.
+  Rng rng(31);
+  constexpr std::int64_t kBin = std::int64_t{1} << 60;
+  constexpr int kDraws = 40000;
+  std::vector<int> counts(12, 0);
+  // Residues mod 3: a multiply-shift without the rejection step gives
+  // offsets = 2 (mod 3) two raw words each, half the draws.
+  std::vector<int> residues(3, 0);
+  for (int i = 0; i < kDraws; ++i) {
+    const std::int64_t v = rng.uniform_int(-6 * kBin, 6 * kBin - 1);
+    ASSERT_GE(v, -6 * kBin);
+    ASSERT_LT(v, 6 * kBin);
+    // v - lo exceeds INT64_MAX in the upper half: take it modulo 2^64.
+    const std::uint64_t offset = static_cast<std::uint64_t>(v) +
+                                 static_cast<std::uint64_t>(6 * kBin);
+    ++counts[offset / kBin];
+    ++residues[offset % 3];
+  }
+  const double expected = kDraws / 12.0;
+  const double tolerance = 4.5 * std::sqrt(expected * (11.0 / 12.0));
+  for (const int c : counts) EXPECT_NEAR(c, expected, tolerance);
+  for (const int r : residues) EXPECT_NEAR(r, kDraws / 3.0, 450.0);
+}
+
+TEST(Rng, NormalPairHalvesAreUncorrelated) {
+  // The polar method returns both variates of a pair; the cached second
+  // one must be a fresh normal, not a function of the first.
+  Rng rng(41);
+  std::vector<double> first;
+  std::vector<double> second;
+  for (int i = 0; i < 20000; ++i) {
+    first.push_back(rng.normal(0.0, 1.0));
+    second.push_back(rng.normal(0.0, 1.0));
+  }
+  double cross = 0.0;
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    cross += first[i] * second[i];
+  }
+  EXPECT_NEAR(cross / static_cast<double>(first.size()), 0.0, 0.03);
+  EXPECT_NEAR(math::stddev(second), 1.0, 0.03);
 }
 
 TEST(Rng, BernoulliProbabilityRoughlyHonored) {
