@@ -35,7 +35,9 @@ double Rng::uniform01() {
 
 double Rng::uniform(double lo, double hi) {
   CHARLIE_ASSERT(lo <= hi);
-  return lo + (hi - lo) * uniform01();
+  // For many (lo, hi), e.g. [0.5, 1), the largest uniform01() rounds to hi.
+  const double r = lo + (hi - lo) * uniform01();
+  return r < hi ? r : std::nextafter(hi, lo);
 }
 
 double Rng::normal(double mu, double sigma) {

@@ -29,7 +29,8 @@ class Rng {
   /// Uniform double in [0, 1): the top 53 bits of one word.
   double uniform01();
 
-  /// Uniform double in [lo, hi): lo + (hi - lo) * uniform01().
+  /// Uniform double in [lo, hi): lo + (hi - lo) * uniform01(), or the
+  /// largest double below hi where that rounds to hi (lo == hi returns lo).
   double uniform(double lo, double hi);
 
   /// Normal with mean `mu` and standard deviation `sigma` (sigma >= 0) by
