@@ -10,28 +10,22 @@
 
 namespace charlie::core {
 namespace fit_pipeline {
-namespace {
 
-// Soft box penalty keeping the fit inside a physically plausible region
-// (transistor on-resistances of kOhms to a few hundred kOhms, node
-// capacitances of attofarads to femtofarads). Without it the delta_min = 0
-// fit drifts to MOhm/1-aF corners whose stiff spectra are numerically
-// hostile and physically meaningless.
-double box_penalty(const std::vector<double>& values) {
-  auto outside = [](double v, double lo, double hi) {
-    if (v < lo) return std::log(lo / v);
-    if (v > hi) return std::log(v / hi);
+double box_distance(const std::vector<double>& values) {
+  auto outside = [](double v, const PlausibleRange& range) {
+    if (v < range.lo) return std::log(range.lo / v);
+    if (v > range.hi) return std::log(v / range.hi);
     return 0.0;
   };
   const std::size_t n_r = values.size() - 2;
   double acc = 0.0;
-  for (std::size_t i = 0; i < n_r; ++i) acc += outside(values[i], 1e3, 400e3);
-  acc += outside(values[n_r], 5e-18, 5e-15);
-  acc += outside(values[n_r + 1], 50e-18, 50e-15);
-  return acc * acc;
+  for (std::size_t i = 0; i < n_r; ++i) {
+    acc += outside(values[i], kResistanceBox);
+  }
+  acc += outside(values[n_r], kInternalCapBox);
+  acc += outside(values[n_r + 1], kOutputCapBox);
+  return acc;
 }
-
-}  // namespace
 
 double choose_delta_min(const FitOptions& options,
                         const std::vector<double>& measured, double sis,
@@ -78,7 +72,8 @@ fit::NelderMeadResult nelder_mead_fit(const DelayModel& model,
       const double rel = ((*achieved)[i] - corrected[i]) / corrected[i];
       acc += rel * rel;
     }
-    return acc + 0.1 * box_penalty(x);
+    const double box = box_distance(x);
+    return acc + kBoxWeight * (box * box);
   };
   fit::NelderMeadOptions nm;
   nm.max_evaluations = max_evaluations;

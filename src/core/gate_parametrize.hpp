@@ -60,6 +60,24 @@ GateFitResult fit_gate_params(GateTopology topology,
 /// [R..., C_int, C_out] (for NOR2: R1..R4, C_N, C_O).
 namespace fit_pipeline {
 
+/// The plausibility box of the fitted values: transistor on-resistances of
+/// kOhms to a few hundred kOhms, node capacitances of attofarads to
+/// femtofarads. It is soft: the objective adds kBoxWeight times the squared
+/// box_distance. Without it the delta_min = 0 fit drifts to MOhm/1-aF
+/// corners whose stiff spectra are numerically hostile and physically
+/// meaningless.
+struct PlausibleRange {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+inline constexpr PlausibleRange kResistanceBox{1e3, 400e3};        // [ohm]
+inline constexpr PlausibleRange kInternalCapBox{5e-18, 5e-15};     // [farad]
+inline constexpr PlausibleRange kOutputCapBox{50e-18, 50e-15};     // [farad]
+inline constexpr double kBoxWeight = 0.1;
+
+/// Summed log-distance of [R..., C_int, C_out] outside the box, 0 inside.
+double box_distance(const std::vector<double>& values);
+
 /// delta_min: options.forced_delta_min when set, else the paper's ratio
 /// rule -- n parallel devices speed the simultaneous transition up at most
 /// n-fold over the single-input one (`sis`). Either is capped at 0.9x the
@@ -87,8 +105,8 @@ std::optional<std::vector<double>> feasible_delays(
     const DelayModel& model, const std::vector<double>& values);
 
 /// Nelder-Mead in log space from `seed`, minimizing the squared relative
-/// mismatch of model(values) against `corrected` plus a soft plausibility
-/// box on the values; an infeasible corner scores 1e6. Returns log-space
+/// mismatch of model(values) against `corrected` plus kBoxWeight times the
+/// squared box_distance; an infeasible corner scores 1e6. Returns log-space
 /// values.
 fit::NelderMeadResult nelder_mead_fit(const DelayModel& model,
                                       const std::vector<double>& seed,

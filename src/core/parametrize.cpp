@@ -100,15 +100,18 @@ FitResult fit_nor_params(const CharacteristicDelays& measured,
       options.nelder_mead_evaluations);
 
   // Levenberg-Marquardt polish from the Nelder-Mead optimum on the relative
-  // residuals; kept only when it lowers the objective.
+  // residuals plus the box term, so 2 * cost is the Nelder-Mead objective;
+  // kept only when it lowers that objective.
+  const double box_scale = std::sqrt(fit_pipeline::kBoxWeight);
   auto residuals = [&](const std::vector<double>& log_x) {
-    std::vector<double> r(6, 1e3);  // penalty in an infeasible corner
-    if (const auto achieved =
-            fit_pipeline::feasible_delays(model, fit::from_log_space(log_x))) {
+    const auto x = fit::from_log_space(log_x);
+    std::vector<double> r(7, 1e3);  // penalty in an infeasible corner
+    if (const auto achieved = fit_pipeline::feasible_delays(model, x)) {
       for (std::size_t i = 0; i < 6; ++i) {
         r[i] = ((*achieved)[i] - corrected[i]) / corrected[i];
       }
     }
+    r[6] = box_scale * fit_pipeline::box_distance(x);
     return r;
   };
   fit::LmOptions lm;

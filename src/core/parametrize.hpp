@@ -26,7 +26,7 @@ struct FitResult {
   CharacteristicDelays targets;   // what was asked for
   CharacteristicDelays achieved;  // what the fitted model produces
   double rms_error = 0.0;         // RMS over the six targets [s]
-  double objective = 0.0;         // final least-squares value
+  double objective = 0.0;         // final objective, box term included
   int evaluations = 0;
   // Infeasible objective evaluations (ConvergenceError from the exact
   // delay solve) swallowed as penalty values during this fit.

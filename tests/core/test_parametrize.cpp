@@ -169,18 +169,18 @@ void expect_params_eq(const NorParams& p, const std::array<double, 8>& want) {
 TEST(Parametrize, PinnedRatioRuleFitOnPaperTargets) {
   const FitResult fit = fit_nor_params(paper_fig2_targets());
   expect_params_eq(fit.params,
-                   {239546.85770280327, 3.8511545647704316e-07,
-                    132765.18553322859, 133322.9272623923,
-                    1.1834173837104477e-17, 2.165756804047558e-16,
+                   {400000.16636535909, 999.99948648336385,
+                    222194.77281432861, 223193.40675834566,
+                    7.0804197195655002e-18, 1.2937397136656174e-16,
                     0.80000000000000004, 1.8000000000000002e-11});
   expect_delays_eq(fit.achieved,
-                   {3.8014280819607181e-11, 2.7986164652046108e-11,
-                    3.9018690672714706e-11, 5.5924958593032954e-11,
-                    5.5924958593032954e-11, 5.3014044174092465e-11});
-  EXPECT_EQ(fit.rms_error, 3.1811844829138345e-13);
-  EXPECT_EQ(fit.objective, 0.0004234839306775372);
+                   {3.8014914168809403e-11, 2.7985018710877666e-11,
+                    3.9015730121834135e-11, 5.5924937176225736e-11,
+                    5.5924937176225736e-11, 5.301682140599933e-11});
+  EXPECT_EQ(fit.rms_error, 3.1812826505432115e-13);
+  EXPECT_EQ(fit.objective, 0.00042369982169104261);
   EXPECT_EQ(fit.evaluations, 2099);
-  EXPECT_EQ(fit.swallowed_fallbacks, 1);
+  EXPECT_EQ(fit.swallowed_fallbacks, 0);
 }
 
 TEST(Parametrize, PinnedForcedZeroDeltaMinFitOnPaperTargets) {
@@ -189,18 +189,41 @@ TEST(Parametrize, PinnedForcedZeroDeltaMinFitOnPaperTargets) {
   opts.nelder_mead_evaluations = 1500;
   const FitResult fit = fit_nor_params(paper_fig2_targets(), opts);
   expect_params_eq(fit.params,
-                   {12390.261482667775, 1013.0707051605326,
-                    10347.153661424807, 10078.297446881708,
-                    3.5479237323442215e-156, 5.9196326837413912e-15,
+                   {12381.582056665939, 1000.0000000541396,
+                    10321.470521656593, 10082.835682370158,
+                    4.9980333598704579e-18, 5.9152198940240946e-15,
                     0.80000000000000004, 0.0});
   expect_delays_eq(fit.achieved,
-                   {4.1353035222087447e-11, 2.0948678607799353e-11,
-                    4.2456199863363158e-11, 5.4996240398262958e-11,
-                    5.4996240398262958e-11, 5.4996240398262958e-11});
-  EXPECT_EQ(fit.rms_error, 3.6358993971149531e-12);
-  EXPECT_EQ(fit.objective, 0.081239442942804982);
+                   {4.1340815991009085e-11, 2.0912154979727844e-11,
+                    4.2355003114881319e-11, 5.4910377926353576e-11,
+                    5.4910377926353576e-11, 5.4848470180721967e-11});
+  EXPECT_EQ(fit.rms_error, 3.6248704468593599e-12);
+  EXPECT_EQ(fit.objective, 0.081294276987360067);
   EXPECT_EQ(fit.evaluations, 1500);
-  EXPECT_EQ(fit.swallowed_fallbacks, 27);
+  EXPECT_EQ(fit.swallowed_fallbacks, 0);
+}
+
+// Every fitted value lies within 1% of the plausibility box, on both pin
+// cases: the Levenberg-Marquardt polish carries the box term, so it cannot
+// trade the box away for a smaller delay mismatch.
+TEST(Parametrize, PinnedFitsStayInThePlausibilityBox) {
+  auto expect_within = [](double v, const fit_pipeline::PlausibleRange& box,
+                          const char* what) {
+    EXPECT_GE(v, 0.99 * box.lo) << what;
+    EXPECT_LE(v, 1.01 * box.hi) << what;
+  };
+  FitOptions forced_zero;
+  forced_zero.forced_delta_min = 0.0;
+  forced_zero.nelder_mead_evaluations = 1500;
+  for (const FitOptions& opts : {FitOptions{}, forced_zero}) {
+    const NorParams p = fit_nor_params(paper_fig2_targets(), opts).params;
+    expect_within(p.r1, fit_pipeline::kResistanceBox, "R1");
+    expect_within(p.r2, fit_pipeline::kResistanceBox, "R2");
+    expect_within(p.r3, fit_pipeline::kResistanceBox, "R3");
+    expect_within(p.r4, fit_pipeline::kResistanceBox, "R4");
+    expect_within(p.cn, fit_pipeline::kInternalCapBox, "C_N");
+    expect_within(p.co, fit_pipeline::kOutputCapBox, "C_O");
+  }
 }
 
 }  // namespace

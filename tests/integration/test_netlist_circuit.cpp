@@ -8,9 +8,11 @@
 #include <cstdio>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
+#include "core/gate_parametrize.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/circuit_builder.hpp"
 #include "sim/run_channel.hpp"
@@ -68,6 +70,29 @@ TEST(NetlistCircuit, CharacterizationRunsExactlyOncePerCell) {
         << cell;
   }
   EXPECT_EQ(lib.tech_fingerprint(), tech().fingerprint());
+}
+
+// Every hybrid-cell fit lies within 1% of the fit's plausibility box.
+TEST(NetlistCircuit, CharacterizedHybridCellsStayInThePlausibilityBox) {
+  namespace box = core::fit_pipeline;
+  auto expect_within = [](double v, const box::PlausibleRange& range,
+                          const std::string& what) {
+    EXPECT_GE(v, 0.99 * range.lo) << what;
+    EXPECT_LE(v, 1.01 * range.hi) << what;
+  };
+  for (const char* cell : {"NOR2", "NOR3", "NAND2", "NAND3"}) {
+    const core::GateParams& p = library().spec(cell).params;
+    for (int i = 0; i < p.n_inputs(); ++i) {
+      const std::string port =
+          std::string(cell) + " input " + std::to_string(i);
+      expect_within(p.r_series[i], box::kResistanceBox, port + " series R");
+      expect_within(p.r_parallel[i], box::kResistanceBox,
+                    port + " parallel R");
+    }
+    const std::string name(cell);
+    expect_within(p.c_int, box::kInternalCapBox, name + " C_int");
+    expect_within(p.c_out, box::kOutputCapBox, name + " C_out");
+  }
 }
 
 TEST(NetlistCircuit, FittedCellsAreDistinctPerCell) {
