@@ -1,6 +1,6 @@
 // Whole-circuit Monte-Carlo throughput: events/second through the indexed
 // event heap, single-thread vs. worker-pool scaling, with shared
-// NorModeTables across all gate instances, plus the per-run stimulus cost
+// GateModeTables across all gate instances, plus the per-run stimulus cost
 // (the generator and its normal draws). Complements the per-event channel
 // microbenches in bench_runtime_overhead.cpp.
 #include <benchmark/benchmark.h>
@@ -10,7 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/mode_tables.hpp"
+#include "core/gate_mode_tables.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/hybrid_gate_channel.hpp"
 #include "util/rng.hpp"
@@ -24,7 +24,7 @@ using namespace charlie;
 // NOR pairs so every stage sees real multi-input switching activity.
 sim::CircuitFactory mesh_factory(int n_stages) {
   const auto tables =
-      core::NorModeTables::make(core::NorParams::paper_table1());
+      core::GateModeTables::make(core::GateParams::nor2_reference());
   return [tables, n_stages] {
     auto circuit = std::make_unique<sim::Circuit>();
     auto a = circuit->add_input("a");

@@ -2,10 +2,12 @@
 // mode systems with the paper's initial values (Table I parameters).
 //   V_N(0) = V_O(0) = VDD, except system (0,0) starting at GND and
 //   system (1,1) with V_N = VDD/2.
+// Each system is one core::ModeSegment on the NOR2's GateModeTables, the
+// state advance the event engine uses.
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/trajectory.hpp"
+#include "core/two_exp_crossing.hpp"
 #include "util/math.hpp"
 
 int main(int argc, char** argv) {
@@ -17,16 +19,18 @@ int main(int argc, char** argv) {
   cli.finish();
 
   const auto p = core::NorParams::paper_table1();
+  const core::GateModeTables tables(core::GateParams::from_nor(p));
 
+  // Input states (A,B) with A in bit 0 and B in bit 1.
   struct Row {
-    core::Mode mode;
+    core::GateState state;
     ode::Vec2 x0;
   };
   const Row systems[] = {
-      {core::Mode::kS00, {0.0, 0.0}},
-      {core::Mode::kS01, {p.vdd, p.vdd}},
-      {core::Mode::kS10, {p.vdd, p.vdd}},
-      {core::Mode::kS11, {p.vdd / 2.0, p.vdd}},
+      {0b00, {0.0, 0.0}},          // (0,0)
+      {0b10, {p.vdd, p.vdd}},      // (0,1)
+      {0b01, {p.vdd, p.vdd}},      // (1,0)
+      {0b11, {p.vdd / 2.0, p.vdd}},  // (1,1)
   };
 
   std::cout << "=== Fig 4: mode trajectories (Table I parameters) ===\n";
@@ -45,9 +49,11 @@ int main(int argc, char** argv) {
     std::vector<double> vn_vals;
     std::vector<double> vo_vals;
     for (const Row& sys : systems) {
-      const core::NorTrajectory traj(p, 0.0, sys.mode, sys.x0);
-      vn_vals.push_back(traj.vn_at(t));
-      vo_vals.push_back(traj.vo_at(t));
+      core::ModeSegment segment;
+      segment.reset(0.0, sys.x0, tables.state_table(sys.state));
+      const ode::Vec2 x = segment.state_at(t);
+      vn_vals.push_back(x.x);
+      vo_vals.push_back(x.y);
     }
     row.insert(row.end(), vn_vals.begin(), vn_vals.end());
     row.insert(row.end(), vo_vals.begin(), vo_vals.end());

@@ -18,7 +18,6 @@
 #include "sim/accuracy.hpp"
 #include "sim/gate_models.hpp"
 #include "sim/hybrid_gate_channel.hpp"
-#include "sim/nor_models.hpp"
 #include "sim/surface_nor_channel.hpp"
 
 int main(int argc, char** argv) {
@@ -59,7 +58,11 @@ int main(int argc, char** argv) {
                     },
                     true});
   models.push_back({"Exp-Channel dmin=20ps",
-                    [&] { return sim::make_exp_nor(sis, 20e-12); }, false});
+                    [&] {
+                      return sim::make_exp_gate(core::GateTopology::kNorLike,
+                                                2, sis, 20e-12);
+                    },
+                    false});
   models.push_back({"HM without dmin",
                     [&] {
                       return std::make_unique<sim::HybridGateChannel>(

@@ -11,8 +11,8 @@
 #include "obs/trace_recorder.hpp"
 #include "sim/circuit.hpp"
 #include "sim/exp_channel.hpp"
+#include "sim/gate_models.hpp"
 #include "sim/hybrid_gate_channel.hpp"
-#include "sim/nor_models.hpp"
 #include "sim/run_channel.hpp"
 #include "sim/run_guard.hpp"
 #include "util/rng.hpp"
@@ -61,7 +61,8 @@ BENCHMARK(BM_InertialNorTrace);
 
 void BM_ExpNorTrace(benchmark::State& state) {
   for (auto _ : state) {
-    auto gate = sim::make_exp_nor(sis_delays(), 20e-12);
+    auto gate = sim::make_exp_gate(core::GateTopology::kNorLike, 2,
+                                   sis_delays(), 20e-12);
     const auto out =
         sim::run_gate_channel(*gate, trace_a(), trace_b(), 0.0, t_end());
     benchmark::DoNotOptimize(out.n_transitions());
@@ -71,7 +72,8 @@ BENCHMARK(BM_ExpNorTrace);
 
 void BM_SumExpNorTrace(benchmark::State& state) {
   for (auto _ : state) {
-    auto gate = sim::make_sumexp_nor(sis_delays(), 20e-12);
+    auto gate = sim::make_sumexp_gate(core::GateTopology::kNorLike, 2,
+                                      sis_delays(), 20e-12);
     const auto out =
         sim::run_gate_channel(*gate, trace_a(), trace_b(), 0.0, t_end());
     benchmark::DoNotOptimize(out.n_transitions());

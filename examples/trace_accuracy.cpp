@@ -10,7 +10,6 @@
 #include "sim/accuracy.hpp"
 #include "sim/gate_models.hpp"
 #include "sim/hybrid_gate_channel.hpp"
-#include "sim/nor_models.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -58,11 +57,18 @@ int main(int argc, char** argv) {
                                                  2, sis);
                     },
                     false});
-  models.push_back(
-      {"exp (IDM)", [&] { return sim::make_exp_nor(sis, 20e-12); }, false});
-  models.push_back(
-      {"sumexp (IDM)",
-       [&] { return sim::make_sumexp_nor(sis, 20e-12); }, false});
+  models.push_back({"exp (IDM)",
+                    [&] {
+                      return sim::make_exp_gate(core::GateTopology::kNorLike,
+                                                2, sis, 20e-12);
+                    },
+                    false});
+  models.push_back({"sumexp (IDM)",
+                    [&] {
+                      return sim::make_sumexp_gate(
+                          core::GateTopology::kNorLike, 2, sis, 20e-12);
+                    },
+                    false});
   models.push_back({"hybrid (paper)",
                     [&] {
                       return std::make_unique<sim::HybridGateChannel>(

@@ -19,8 +19,7 @@
 // evaluator.
 #pragma once
 
-#include "core/mode_tables.hpp"
-#include "core/modes.hpp"
+#include "core/gate_mode_tables.hpp"
 #include "core/nor_params.hpp"
 
 namespace charlie::core {
@@ -28,7 +27,6 @@ namespace charlie::core {
 struct DelayResult {
   double delay = 0.0;    // reported gate delay, including delta_min
   double t_cross = 0.0;  // absolute output crossing time tO (t=0 = earlier input)
-  Mode intermediate = Mode::kS00;  // mode occupied during (0, |Delta|)
 };
 
 class NorDelayModel {
@@ -51,13 +49,11 @@ class NorDelayModel {
   double rising_sis_b_first(double vn0 = 0.0) const;  // delta_rise(-inf)
   double rising_sis_a_first(double vn0 = 0.0) const;  // delta_rise(+inf)
 
-  const NorParams& params() const { return tables_.params(); }
-
-  /// Largest mode time constant (search-horizon building block).
-  double slowest_time_constant() const;
+  const NorParams& params() const { return params_; }
 
  private:
-  NorModeTables tables_;
+  NorParams params_;
+  GateModeTables tables_;  // of GateParams::from_nor(params_)
 };
 
 }  // namespace charlie::core

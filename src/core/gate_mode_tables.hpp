@@ -9,8 +9,8 @@
 // thousands of gate instances of the same cell pays the derivation exactly
 // once and the per-event work reduces to a handful of multiply-adds.
 //
-// NorModeTables (core/mode_tables.hpp) is the 2-input NOR instance of this
-// machinery, kept as a thin subclass for source compatibility.
+// The paper's NOR2 is GateModeTables(GateParams::from_nor(params)): its four
+// modes (A,B) are the input states with A in bit 0 and B in bit 1.
 #pragma once
 
 #include <cmath>
@@ -104,7 +104,6 @@ class GateModeTables {
   /// Validates `params` once (throws ConfigError) and derives all 2^N mode
   /// tables plus the crossing-search horizon (60 slowest time constants).
   explicit GateModeTables(const GateParams& params);
-  virtual ~GateModeTables() = default;
 
   /// Shared immutable table for reuse across many channel instances.
   static std::shared_ptr<const GateModeTables> make(const GateParams& params);

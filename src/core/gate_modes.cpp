@@ -86,7 +86,7 @@ ode::AffineOde2 gate_mode_ode(const GateParams& p, GateState s) {
 
   // Accumulate positive conductance-over-capacitance terms and negate at
   // the end, keeping the n = 2 NOR entries bit-identical to the paper's
-  // printed per-mode systems (core::mode_ode delegates here).
+  // printed per-mode systems.
   double a_xx = 0.0;  // V_int self term
   double a_xy = 0.0;  // V_O -> V_int coupling
   double a_yx = 0.0;  // V_int -> V_O coupling

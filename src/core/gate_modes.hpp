@@ -2,9 +2,14 @@
 //
 // An N-input gate has 2^N input states; each state turns the ideal switches
 // of the series/parallel network on or off and yields one affine RC system
-// V' = M V + g over V = (V_int, V_O). For N = 2 and kNorLike this
-// reproduces the paper's four NOR modes exactly (Section III B-E);
-// core::mode_ode delegates here so the two derivations cannot drift.
+// V' = M V + g over V = (V_int, V_O). For N = 2 and kNorLike
+// (GateParams::from_nor) these are the paper's four NOR modes (Section III
+// B-E), with input A in bit 0 and B in bit 1 of the state:
+//   (1,1): CN dVN/dt = 0;             CO dVO/dt = -VO (1/R3 + 1/R4)
+//   (1,0): CN dVN/dt = -(VN - VO)/R2; CO dVO/dt = -VO/R3 + (VN - VO)/R2
+//   (0,1): CN dVN/dt = (VDD - VN)/R1; CO dVO/dt = -VO/R4
+//   (0,0): CN dVN/dt = (VDD - VN)/R1 - (VN - VO)/R2;
+//          CO dVO/dt = (VN - VO)/R2
 //
 // A GateState packs the input levels as a bitmask: bit i (LSB = input 0) is
 // the logic level of input i.

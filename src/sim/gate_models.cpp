@@ -1,8 +1,10 @@
 #include "sim/gate_models.hpp"
 
 #include "core/gate_modes.hpp"
+#include "sim/exp_channel.hpp"
 #include "sim/inertial.hpp"
 #include "sim/pure_delay.hpp"
+#include "sim/sumexp_channel.hpp"
 #include "util/error.hpp"
 
 namespace charlie::sim {
@@ -69,6 +71,30 @@ std::unique_ptr<GateChannel> make_pure_gate(core::GateTopology topology,
   const double d = 0.5 * (delays.rise + delays.fall);
   return std::make_unique<SisLogicGate>(
       topology, n_inputs, std::make_unique<PureDelayChannel>(d));
+}
+
+std::unique_ptr<GateChannel> make_exp_gate(core::GateTopology topology,
+                                           int n_inputs,
+                                           const SisGateDelays& delays,
+                                           double delta_min) {
+  ExpChannelParams p;
+  p.delta_inf_up = delays.rise;
+  p.delta_inf_down = delays.fall;
+  p.delta_min = delta_min;
+  return std::make_unique<SisLogicGate>(topology, n_inputs,
+                                        std::make_unique<ExpChannel>(p));
+}
+
+std::unique_ptr<GateChannel> make_sumexp_gate(core::GateTopology topology,
+                                              int n_inputs,
+                                              const SisGateDelays& delays,
+                                              double delta_min) {
+  SumExpChannelParams p;
+  p.delta_min = delta_min;
+  p.calibrate_direction(true, delays.rise);
+  p.calibrate_direction(false, delays.fall);
+  return std::make_unique<SisLogicGate>(topology, n_inputs,
+                                        std::make_unique<SumExpChannel>(p));
 }
 
 }  // namespace charlie::sim

@@ -1,13 +1,13 @@
-// Uniform N-input gate models for the accuracy comparison (the NOR2-only
-// Exp/SumExp baselines live in sim/nor_models.hpp).
+// Uniform N-input gate models for the accuracy comparison (Fig 7).
 //
 // Every delay model is wrapped as a GateChannel so the same trace harness
 // drives them all:
-//   * SIS-channel models (inertial, pure delay) compute the boolean
-//     NOR/NAND in zero time and push the value changes through the
-//     single-input channel placed at the gate output -- the Involution Tool
-//     arrangement, whose inability to see which input switched is exactly
-//     what the hybrid model fixes;
+//   * SIS-channel models (inertial, pure delay, and the Involution Tool's
+//     Exp- and SumExp-Channel) compute the boolean NOR/NAND in zero time
+//     and push the value changes through the single-input channel placed at
+//     the gate output -- the Involution Tool arrangement, whose inability to
+//     see which input switched (the Exp-Channel's broad-pulse errors) is
+//     exactly what the hybrid model fixes;
 //   * the hybrid model is natively N-input (HybridGateChannel).
 #pragma once
 
@@ -57,5 +57,16 @@ std::unique_ptr<GateChannel> make_inertial_gate(core::GateTopology topology,
 std::unique_ptr<GateChannel> make_pure_gate(core::GateTopology topology,
                                             int n_inputs,
                                             const SisGateDelays& delays);
+
+/// Exp- and SumExp-Channel gates: involution channels with pure delay
+/// `delta_min`, calibrated to the given SIS delays per direction.
+std::unique_ptr<GateChannel> make_exp_gate(core::GateTopology topology,
+                                           int n_inputs,
+                                           const SisGateDelays& delays,
+                                           double delta_min);
+std::unique_ptr<GateChannel> make_sumexp_gate(core::GateTopology topology,
+                                              int n_inputs,
+                                              const SisGateDelays& delays,
+                                              double delta_min);
 
 }  // namespace charlie::sim

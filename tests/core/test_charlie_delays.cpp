@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "core/delay_model.hpp"
+#include "core/gate_modes.hpp"
 
 namespace charlie::core {
 namespace {
@@ -27,7 +28,8 @@ class CharlieFixture : public ::testing::Test {
 
 TEST_F(CharlieFixture, SpectrumMode10MatchesMatrixEigenvalues) {
   const ModeSpectrum s = spectrum_mode10(p_);
-  const auto eig = mode_ode(Mode::kS10, p_).eigen();
+  // Mode (1,0): A is bit 0 of the state.
+  const auto eig = gate_mode_ode(GateParams::from_nor(p_), 0b01).eigen();
   // eigen_decompose sorts lambda1 <= lambda2; spectrum has lambda1 slow.
   EXPECT_NEAR(s.lambda1, eig.lambda2, std::fabs(eig.lambda2) * 1e-10);
   EXPECT_NEAR(s.lambda2, eig.lambda1, std::fabs(eig.lambda1) * 1e-10);
@@ -38,7 +40,7 @@ TEST_F(CharlieFixture, SpectrumMode10MatchesMatrixEigenvalues) {
 
 TEST_F(CharlieFixture, SpectrumMode00MatchesMatrixEigenvalues) {
   const ModeSpectrum s = spectrum_mode00(p_);
-  const auto eig = mode_ode(Mode::kS00, p_).eigen();
+  const auto eig = gate_mode_ode(GateParams::from_nor(p_), 0b00).eigen();
   EXPECT_NEAR(s.lambda1, eig.lambda2, std::fabs(eig.lambda2) * 1e-10);
   EXPECT_NEAR(s.lambda2, eig.lambda1, std::fabs(eig.lambda1) * 1e-10);
 }

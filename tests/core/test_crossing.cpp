@@ -6,8 +6,7 @@
 #include <cmath>
 
 #include "core/gate_delay.hpp"
-#include "core/mode_tables.hpp"
-#include "core/trajectory.hpp"
+#include "core/gate_mode_tables.hpp"
 #include "util/error.hpp"
 
 namespace charlie::core {
@@ -16,19 +15,23 @@ namespace {
 constexpr double kLn2 = 0.6931471805599453;
 constexpr int kPortA = 0;
 constexpr int kPortB = 1;
+// Input states (A,B) with A in bit 0 and B in bit 1.
+constexpr GateState kS00 = 0b00;
+constexpr GateState kS01 = 0b10;
+constexpr GateState kS11 = 0b11;
 
 class Crossing : public ::testing::Test {
  protected:
   const NorParams p_ = NorParams::paper_table1();
-  const NorModeTables tables_{p_};
+  const GateModeTables tables_{GateParams::from_nor(p_)};
   // (V_N, V_O) in the (0,0) steady state: both nodes at VDD.
-  const ode::Vec2 x00_ = mode_steady_state(Mode::kS00, p_);
+  const ode::Vec2 x00_ = tables_.state_table(kS00).steady;
 };
 
 TEST_F(Crossing, SingleExponentialDecayExactTime) {
   // (0,0) -> (0,1): V_O = VDD e^{-t/(R4 CO)}; crossing of VDD/2 at
   // ln2 R4 CO (paper eq (9) without delta_min).
-  const double t = mode_table_crossing(tables_.table(Mode::kS01), x00_, 1e-9,
+  const double t = mode_table_crossing(tables_.state_table(kS01), x00_, 1e-9,
                                        p_.vth(), /*rising=*/false);
   EXPECT_NEAR(t, kLn2 * p_.r4 * p_.co, 1e-16);
   const GateInputEvent ev{0.0, kPortB, true};
@@ -40,7 +43,7 @@ TEST_F(Crossing, SingleExponentialDecayExactTime) {
 TEST_F(Crossing, ParallelDischargeExactTime) {
   // (0,0) -> (1,1): both nMOS conduct; crossing at ln2 CO (R3||R4)
   // (paper eq (8)).
-  const double t = mode_table_crossing(tables_.table(Mode::kS11), x00_, 1e-9,
+  const double t = mode_table_crossing(tables_.state_table(kS11), x00_, 1e-9,
                                        p_.vth(), /*rising=*/false);
   const double rp = p_.r3 * p_.r4 / (p_.r3 + p_.r4);
   EXPECT_NEAR(t, kLn2 * p_.co * rp, 1e-16);
@@ -48,14 +51,14 @@ TEST_F(Crossing, ParallelDischargeExactTime) {
 
 TEST_F(Crossing, DirectionFilterSkipsWrongWay) {
   // V_O falls in (0,1); a rising search finds nothing.
-  EXPECT_LT(mode_table_crossing(tables_.table(Mode::kS01), x00_, 1e-9,
+  EXPECT_LT(mode_table_crossing(tables_.state_table(kS01), x00_, 1e-9,
                                 p_.vth(), /*rising=*/true),
             0.0);
 }
 
 TEST_F(Crossing, NoCrossingWhenAsymptoteOnSameSide) {
   // Steady (0,0) stays at VDD: never crosses VDD/2 either way.
-  const ModeTable& mt = tables_.table(Mode::kS00);
+  const ModeTable& mt = tables_.state_table(kS00);
   EXPECT_LT(mode_table_crossing(mt, x00_, 1e-9, p_.vth(), false), 0.0);
   EXPECT_LT(mode_table_crossing(mt, x00_, 1e-9, p_.vth(), true), 0.0);
   // With no input switch the gate evaluation reports the missing crossing.
@@ -76,15 +79,13 @@ TEST_F(Crossing, FindsCrossingAcrossSegmentBoundary) {
 }
 
 TEST_F(Crossing, WindowBoundsRespected) {
-  const ModeTable& mt = tables_.table(Mode::kS01);
+  const ModeTable& mt = tables_.state_table(kS01);
   const double t_true = kLn2 * p_.r4 * p_.co;
   // Window ends before the crossing.
   EXPECT_LT(mode_table_crossing(mt, x00_, 0.5 * t_true, p_.vth(), false), 0.0);
   // Entered after the crossing: also nothing (V_O below threshold already).
-  auto traj = NorTrajectory::from_steady_state(p_, 0.0, Mode::kS00);
-  traj.set_inputs(0.0, false, true);
-  EXPECT_LT(mode_table_crossing(mt, traj.state_at(2.0 * t_true), 1e-9,
-                                p_.vth(), false),
+  EXPECT_LT(mode_table_crossing(mt, mode_state_at(mt, x00_, 2.0 * t_true),
+                                1e-9, p_.vth(), false),
             0.0);
 }
 

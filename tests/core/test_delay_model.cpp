@@ -127,15 +127,6 @@ TEST_F(DelayModelFixture, DeltaMinShiftsDelaysUniformly) {
   }
 }
 
-TEST_F(DelayModelFixture, IntermediateModeBookkeeping) {
-  EXPECT_EQ(model_.falling_delay(10e-12).intermediate, Mode::kS10);
-  EXPECT_EQ(model_.falling_delay(-10e-12).intermediate, Mode::kS01);
-  EXPECT_EQ(model_.falling_delay(0.0).intermediate, Mode::kS11);
-  EXPECT_EQ(model_.rising_delay(10e-12).intermediate, Mode::kS01);
-  EXPECT_EQ(model_.rising_delay(-10e-12).intermediate, Mode::kS10);
-  EXPECT_EQ(model_.rising_delay(0.0).intermediate, Mode::kS00);
-}
-
 TEST(DelayModel, RisingGlitchBeforeLaterInputIsRejected) {
   // With C_N >> C_O and a fast R2, a precharged N dumps enough charge into O
   // during (1,0) to lift V_O past V_th before the later input falls. The
@@ -148,11 +139,6 @@ TEST(DelayModel, RisingGlitchBeforeLaterInputIsRejected) {
   EXPECT_THROW(model.rising_delay(-50e-12, p.vdd), ConvergenceError);
   // From the drained history there is no charge to share.
   EXPECT_NO_THROW(model.rising_delay(-50e-12, 0.0));
-}
-
-TEST_F(DelayModelFixture, SlowestTimeConstantPositive) {
-  EXPECT_GT(model_.slowest_time_constant(), 1e-12);
-  EXPECT_LT(model_.slowest_time_constant(), 1e-9);
 }
 
 // Parameterized continuity sweep: the MIS delay curves are continuous in

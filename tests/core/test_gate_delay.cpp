@@ -7,7 +7,6 @@
 
 #include "core/delay_model.hpp"
 #include "core/gate_parametrize.hpp"
-#include "core/mode_tables.hpp"
 #include "util/error.hpp"
 
 namespace charlie::core {

@@ -5,8 +5,6 @@
 #include <cmath>
 
 #include "core/gate_mode_tables.hpp"
-#include "core/mode_tables.hpp"
-#include "core/modes.hpp"
 #include "util/error.hpp"
 
 namespace charlie::core {
@@ -34,29 +32,6 @@ TEST(GateModes, OutputLogic) {
   EXPECT_TRUE(gate_mode_output(GateTopology::kNandLike, 0b000, 3));
   EXPECT_TRUE(gate_mode_output(GateTopology::kNandLike, 0b011, 3));
   EXPECT_FALSE(gate_mode_output(GateTopology::kNandLike, 0b111, 3));
-}
-
-// The generalized construction must reproduce the paper's NOR2 modes
-// bit-for-bit (core::mode_ode delegates here; this guards the equivalence
-// from the other side).
-TEST(GateModes, Nor2BitIdenticalToPaperModes) {
-  const NorParams nor = NorParams::paper_table1();
-  const GateParams gate = GateParams::from_nor(nor);
-  for (Mode m : kAllModes) {
-    const GateState s = gate_state_from_mode(m);
-    const auto general = gate_mode_ode(gate, s);
-    const auto paper = mode_ode(m, nor);
-    EXPECT_EQ(general.a().a, paper.a().a) << mode_name(m);
-    EXPECT_EQ(general.a().b, paper.a().b) << mode_name(m);
-    EXPECT_EQ(general.a().c, paper.a().c) << mode_name(m);
-    EXPECT_EQ(general.a().d, paper.a().d) << mode_name(m);
-    EXPECT_EQ(general.g().x, paper.g().x) << mode_name(m);
-    EXPECT_EQ(general.g().y, paper.g().y) << mode_name(m);
-    const auto ss_general = gate_mode_steady_state(gate, s, 0.31);
-    const auto ss_paper = mode_steady_state(m, nor, 0.31);
-    EXPECT_EQ(ss_general.x, ss_paper.x) << mode_name(m);
-    EXPECT_EQ(ss_general.y, ss_paper.y) << mode_name(m);
-  }
 }
 
 // NOR3 mode (0,1,0): the stack is cut at T2, the link (T3, input C low)
@@ -214,19 +189,6 @@ TEST(GateModeTables, SpectralFormMatchesMatrixExponential) {
       EXPECT_NEAR(spectral.y, exact.y, 1e-12) << gate_state_name(s, 3);
     }
   }
-}
-
-TEST(GateModeTables, NorModeTablesIsAGateModeTables) {
-  // The NOR2 subclass shares the generalized machinery and converts to the
-  // base shared_ptr without copying.
-  const auto nor = NorModeTables::make(NorParams::paper_table1());
-  const std::shared_ptr<const GateModeTables> base = nor;
-  EXPECT_EQ(base.get(), nor.get());
-  EXPECT_EQ(nor->n_inputs(), 2);
-  EXPECT_EQ(nor->n_states(), 4u);
-  // Mode-indexed and state-indexed accessors reach the same entries.
-  EXPECT_EQ(&nor->table(Mode::kS10),
-            &nor->state_table(gate_state_from_inputs(true, false)));
 }
 
 TEST(GateModeTables, ValidatesOnConstruction) {

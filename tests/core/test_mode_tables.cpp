@@ -1,8 +1,11 @@
-#include "core/mode_tables.hpp"
+// The NOR2's precomputed mode tables: GateModeTables of
+// GateParams::from_nor on the paper's Table I parameters.
+#include "core/gate_mode_tables.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -12,19 +15,21 @@ namespace {
 class ModeTablesFixture : public ::testing::Test {
  protected:
   const NorParams params_ = NorParams::paper_table1();
-  const NorModeTables tables_{params_};
+  const GateParams gate_ = GateParams::from_nor(params_);
+  const GateModeTables tables_{gate_};
 };
 
 TEST_F(ModeTablesFixture, MatchesPerCallDerivation) {
-  for (Mode m : kAllModes) {
-    const ModeTable& t = tables_.table(m);
-    const ode::AffineOde2 fresh = mode_ode(m, params_);
-    EXPECT_EQ(t.ode.a().a, fresh.a().a) << mode_name(m);
-    EXPECT_EQ(t.ode.a().d, fresh.a().d) << mode_name(m);
-    EXPECT_EQ(t.ode.eigen().lambda1, fresh.eigen().lambda1) << mode_name(m);
-    const ode::Vec2 steady = mode_steady_state(m, params_, 0.0);
-    EXPECT_EQ(t.steady.x, steady.x) << mode_name(m);
-    EXPECT_EQ(t.steady.y, steady.y) << mode_name(m);
+  for (GateState s = 0; s < tables_.n_states(); ++s) {
+    const ModeTable& t = tables_.state_table(s);
+    const ode::AffineOde2 fresh = gate_mode_ode(gate_, s);
+    const std::string name = gate_state_name(s, 2);
+    EXPECT_EQ(t.ode.a().a, fresh.a().a) << name;
+    EXPECT_EQ(t.ode.a().d, fresh.a().d) << name;
+    EXPECT_EQ(t.ode.eigen().lambda1, fresh.eigen().lambda1) << name;
+    const ode::Vec2 steady = gate_mode_steady_state(gate_, s, 0.0);
+    EXPECT_EQ(t.steady.x, steady.x) << name;
+    EXPECT_EQ(t.steady.y, steady.y) << name;
   }
   EXPECT_EQ(tables_.vth(), params_.vth());
   EXPECT_GT(tables_.horizon(), 0.0);
@@ -35,9 +40,9 @@ TEST_F(ModeTablesFixture, MatchesPerCallDerivation) {
 // an arbitrary entry state, in every mode.
 TEST_F(ModeTablesFixture, ScalarBasisReproducesTrajectory) {
   const ode::Vec2 x_ref{0.31, 0.67};
-  for (Mode m : kAllModes) {
-    const ModeTable& t = tables_.table(m);
-    ASSERT_TRUE(t.scalar_valid) << mode_name(m);
+  for (GateState s = 0; s < tables_.n_states(); ++s) {
+    const ModeTable& t = tables_.state_table(s);
+    ASSERT_TRUE(t.scalar_valid) << gate_state_name(s, 2);
     const ode::Vec2 dev = x_ref - t.xp;
     double a1 = t.p1c * dev.x + t.p1d * dev.y;
     double a2 = dev.y - a1;
@@ -55,25 +60,25 @@ TEST_F(ModeTablesFixture, ScalarBasisReproducesTrajectory) {
           d + a1 * std::exp(t.l1 * tau) + a2 * std::exp(t.l2 * tau);
       const double exact = t.ode.state_at(tau, x_ref).y;
       EXPECT_NEAR(scalar, exact, 1e-12 * params_.vdd)
-          << mode_name(m) << " tau=" << tau;
+          << gate_state_name(s, 2) << " tau=" << tau;
     }
   }
 }
 
 TEST_F(ModeTablesFixture, SharedTableIsOnePerMake) {
-  const auto shared = NorModeTables::make(params_);
+  const auto shared = GateModeTables::make(gate_);
   ASSERT_NE(shared, nullptr);
   EXPECT_EQ(shared.use_count(), 1);
   const auto copy = shared;
   EXPECT_EQ(shared.use_count(), 2);
-  EXPECT_EQ(&copy->table(Mode::kS00), &shared->table(Mode::kS00));
+  EXPECT_EQ(&copy->state_table(0), &shared->state_table(0));
 }
 
 TEST(ModeTables, ValidatesOnConstruction) {
   NorParams p = NorParams::paper_table1();
   p.r1 = 0.0;
-  EXPECT_THROW(NorModeTables tables(p), ConfigError);
-  EXPECT_THROW(NorModeTables::make(p), ConfigError);
+  EXPECT_THROW(GateModeTables tables(GateParams::from_nor(p)), ConfigError);
+  EXPECT_THROW(GateModeTables::make(GateParams::from_nor(p)), ConfigError);
 }
 
 }  // namespace

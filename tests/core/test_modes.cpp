@@ -1,45 +1,50 @@
-#include "core/modes.hpp"
+// The paper's four NOR2 modes (Section III B-E) as the n = 2 kNorLike
+// instance of the N-input gate core: input A is bit 0 of the state, B bit 1.
+#include "core/gate_modes.hpp"
 
 #include <gtest/gtest.h>
 
-#include "core/mode_tables.hpp"
+#include "core/gate_mode_tables.hpp"
 #include "util/error.hpp"
 
 namespace charlie::core {
 namespace {
 
-TEST(Modes, MappingFromInputs) {
-  EXPECT_EQ(mode_from_inputs(false, false), Mode::kS00);
-  EXPECT_EQ(mode_from_inputs(false, true), Mode::kS01);
-  EXPECT_EQ(mode_from_inputs(true, false), Mode::kS10);
-  EXPECT_EQ(mode_from_inputs(true, true), Mode::kS11);
+constexpr GateState kS00 = 0b00;  // (A,B) = (0,0)
+constexpr GateState kS10 = 0b01;  // (A,B) = (1,0)
+constexpr GateState kS01 = 0b10;  // (A,B) = (0,1)
+constexpr GateState kS11 = 0b11;  // (A,B) = (1,1)
+
+ode::AffineOde2 nor2_ode(GateState s, const NorParams& p) {
+  return gate_mode_ode(GateParams::from_nor(p), s);
 }
 
-TEST(Modes, InputsRoundTrip) {
-  for (Mode m : kAllModes) {
-    EXPECT_EQ(mode_from_inputs(mode_input_a(m), mode_input_b(m)), m);
-  }
+ode::Vec2 nor2_steady_state(GateState s, const NorParams& p,
+                            double vn_hold = 0.0) {
+  return gate_mode_steady_state(GateParams::from_nor(p), s, vn_hold);
 }
 
 TEST(Modes, Names) {
-  EXPECT_EQ(mode_name(Mode::kS00), "(0,0)");
-  EXPECT_EQ(mode_name(Mode::kS11), "(1,1)");
-  EXPECT_EQ(mode_name(Mode::kS10), "(1,0)");
-  EXPECT_EQ(mode_name(Mode::kS01), "(0,1)");
+  // Paper figure names (A,B): input A is printed first.
+  EXPECT_EQ(gate_state_name(kS00, 2), "(0,0)");
+  EXPECT_EQ(gate_state_name(kS11, 2), "(1,1)");
+  EXPECT_EQ(gate_state_name(kS10, 2), "(1,0)");
+  EXPECT_EQ(gate_state_name(kS01, 2), "(0,1)");
 }
 
 TEST(Modes, NorLogic) {
-  EXPECT_TRUE(mode_output(Mode::kS00));
-  EXPECT_FALSE(mode_output(Mode::kS01));
-  EXPECT_FALSE(mode_output(Mode::kS10));
-  EXPECT_FALSE(mode_output(Mode::kS11));
+  constexpr auto kNor = GateTopology::kNorLike;
+  EXPECT_TRUE(gate_mode_output(kNor, kS00, 2));
+  EXPECT_FALSE(gate_mode_output(kNor, kS01, 2));
+  EXPECT_FALSE(gate_mode_output(kNor, kS10, 2));
+  EXPECT_FALSE(gate_mode_output(kNor, kS11, 2));
 }
 
 // The ODE right-hand sides transcribed from paper Section III B-E,
-// evaluated symbolically against the mode_ode matrices.
+// evaluated symbolically against the gate_mode_ode matrices.
 TEST(Modes, System11MatchesPaper) {
   const auto p = NorParams::paper_table1();
-  const auto sys = mode_ode(Mode::kS11, p);
+  const auto sys = nor2_ode(kS11, p);
   // CN dVN/dt = 0; CO dVO/dt = -VO (1/R3 + 1/R4).
   const ode::Vec2 d = sys.derivative({0.5, 0.6});
   EXPECT_DOUBLE_EQ(d.x, 0.0);
@@ -49,7 +54,7 @@ TEST(Modes, System11MatchesPaper) {
 
 TEST(Modes, System10MatchesPaper) {
   const auto p = NorParams::paper_table1();
-  const auto sys = mode_ode(Mode::kS10, p);
+  const auto sys = nor2_ode(kS10, p);
   const double vn = 0.7;
   const double vo = 0.3;
   const ode::Vec2 d = sys.derivative({vn, vo});
@@ -59,7 +64,7 @@ TEST(Modes, System10MatchesPaper) {
 
 TEST(Modes, System01MatchesPaper) {
   const auto p = NorParams::paper_table1();
-  const auto sys = mode_ode(Mode::kS01, p);
+  const auto sys = nor2_ode(kS01, p);
   const double vn = 0.1;
   const double vo = 0.6;
   const ode::Vec2 d = sys.derivative({vn, vo});
@@ -69,7 +74,7 @@ TEST(Modes, System01MatchesPaper) {
 
 TEST(Modes, System00MatchesPaper) {
   const auto p = NorParams::paper_table1();
-  const auto sys = mode_ode(Mode::kS00, p);
+  const auto sys = nor2_ode(kS00, p);
   const double vn = 0.2;
   const double vo = 0.1;
   const ode::Vec2 d = sys.derivative({vn, vo});
@@ -80,43 +85,43 @@ TEST(Modes, System00MatchesPaper) {
 TEST(Modes, SteadyStates) {
   const auto p = NorParams::paper_table1();
   // (0,0): both nodes charge to VDD.
-  const auto s00 = mode_steady_state(Mode::kS00, p);
+  const auto s00 = nor2_steady_state(kS00, p);
   EXPECT_DOUBLE_EQ(s00.x, p.vdd);
   EXPECT_DOUBLE_EQ(s00.y, p.vdd);
   // (0,1): N charged, O drained.
-  const auto s01 = mode_steady_state(Mode::kS01, p);
+  const auto s01 = nor2_steady_state(kS01, p);
   EXPECT_DOUBLE_EQ(s01.x, p.vdd);
   EXPECT_DOUBLE_EQ(s01.y, 0.0);
   // (1,0): both drained.
-  const auto s10 = mode_steady_state(Mode::kS10, p);
+  const auto s10 = nor2_steady_state(kS10, p);
   EXPECT_DOUBLE_EQ(s10.x, 0.0);
   EXPECT_DOUBLE_EQ(s10.y, 0.0);
   // (1,1): V_N frozen at the supplied history value.
-  const auto s11 = mode_steady_state(Mode::kS11, p, 0.77);
+  const auto s11 = nor2_steady_state(kS11, p, 0.77);
   EXPECT_DOUBLE_EQ(s11.x, 0.77);
   EXPECT_DOUBLE_EQ(s11.y, 0.0);
 }
 
 TEST(Modes, SteadyStatesAreEquilibria) {
   const auto p = NorParams::paper_table1();
-  for (Mode m : {Mode::kS00, Mode::kS01, Mode::kS10}) {
-    const auto sys = mode_ode(m, p);
-    const auto ss = mode_steady_state(m, p);
+  for (GateState s : {kS00, kS01, kS10}) {
+    const auto sys = nor2_ode(s, p);
+    const auto ss = nor2_steady_state(s, p);
     const ode::Vec2 d = sys.derivative(ss);
-    EXPECT_NEAR(d.x, 0.0, 1e-3) << mode_name(m);  // volts/second scale
-    EXPECT_NEAR(d.y, 0.0, 1e-3) << mode_name(m);
+    EXPECT_NEAR(d.x, 0.0, 1e-3) << gate_state_name(s, 2);  // volts/second
+    EXPECT_NEAR(d.y, 0.0, 1e-3) << gate_state_name(s, 2);
   }
 }
 
 TEST(Modes, InvalidParamsRejected) {
-  // mode_ode itself no longer validates (hot path); construction-time
-  // entry points do.
+  // gate_mode_ode itself does not validate (hot path); the tables'
+  // construction does.
   NorParams p = NorParams::paper_table1();
   p.r3 = -1.0;
-  EXPECT_THROW(NorModeTables tables(p), ConfigError);
+  EXPECT_THROW(GateModeTables tables(GateParams::from_nor(p)), ConfigError);
   p = NorParams::paper_table1();
   p.co = 0.0;
-  EXPECT_THROW(NorModeTables::make(p), ConfigError);
+  EXPECT_THROW(GateModeTables::make(GateParams::from_nor(p)), ConfigError);
   p = NorParams::paper_table1();
   p.delta_min = -1e-12;
   EXPECT_THROW(p.validate(), ConfigError);

@@ -1,22 +1,31 @@
 // Independent numerical validation: the closed-form hybrid trajectories
 // against RK45 integration of the raw mode ODEs (replacing the paper's
-// MATLAB cross-check of its analytic solutions).
+// MATLAB cross-check of its analytic solutions). The closed form is the
+// engine's own state advance: a core::ModeSegment on the NOR2's tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "core/delay_model.hpp"
-#include "core/trajectory.hpp"
+#include "core/two_exp_crossing.hpp"
 #include "ode/rk45.hpp"
 
 namespace charlie {
 namespace {
 
-using core::Mode;
+using core::GateState;
 using core::NorParams;
 
+// Input states (A,B) with A in bit 0 and B in bit 1.
+constexpr GateState kS00 = 0b00;
+constexpr GateState kS10 = 0b01;
+constexpr GateState kS11 = 0b11;
+
 // Integrate one mode ODE with RK45.
-ode::Vec2 rk45_mode(const NorParams& p, Mode m, const ode::Vec2& x0,
+ode::Vec2 rk45_mode(const NorParams& p, GateState s, const ode::Vec2& x0,
                     double t) {
-  const auto sys = core::mode_ode(m, p);
+  const auto sys = core::gate_mode_ode(core::GateParams::from_nor(p), s);
   const ode::OdeRhs rhs = [&](double, std::span<const double> x,
                               std::span<double> dx) {
     const ode::Vec2 d = sys.derivative({x[0], x[1]});
@@ -31,38 +40,42 @@ ode::Vec2 rk45_mode(const NorParams& p, Mode m, const ode::Vec2& x0,
   return {r.x_final[0], r.x_final[1]};
 }
 
-class ModeVsRk45 : public ::testing::TestWithParam<Mode> {};
+class ModeVsRk45 : public ::testing::TestWithParam<GateState> {};
 
 TEST_P(ModeVsRk45, ClosedFormMatchesIntegration) {
   const NorParams p = NorParams::paper_table1();
-  const Mode m = GetParam();
-  const auto sys = core::mode_ode(m, p);
+  const GateState s = GetParam();
+  const core::GateModeTables tables(core::GateParams::from_nor(p));
   const ode::Vec2 x0{0.65, 0.37};  // generic interior state
+  core::ModeSegment segment;
+  segment.reset(0.0, x0, tables.state_table(s));
   for (double t : {5e-12, 25e-12, 80e-12, 300e-12}) {
-    const ode::Vec2 exact = sys.state_at(t, x0);
-    const ode::Vec2 numeric = rk45_mode(p, m, x0, t);
-    EXPECT_NEAR(exact.x, numeric.x, 1e-8) << core::mode_name(m) << " t=" << t;
-    EXPECT_NEAR(exact.y, numeric.y, 1e-8) << core::mode_name(m) << " t=" << t;
+    const ode::Vec2 exact = segment.state_at(t);
+    const ode::Vec2 numeric = rk45_mode(p, s, x0, t);
+    const std::string name = core::gate_state_name(s, 2);
+    EXPECT_NEAR(exact.x, numeric.x, 1e-8) << name << " t=" << t;
+    EXPECT_NEAR(exact.y, numeric.y, 1e-8) << name << " t=" << t;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ModeVsRk45,
-                         ::testing::ValuesIn(core::kAllModes));
+                         ::testing::Range(GateState{0}, GateState{4}));
 
 TEST(HybridVsRk45, FullMisTrajectoryFalling) {
   // Piecewise trajectory (0,0) -> (1,0) -> (1,1) evaluated both ways.
   const NorParams p = NorParams::paper_table1();
-  auto traj = core::NorTrajectory::from_steady_state(p, 0.0, Mode::kS00);
-  traj.set_inputs(0.0, true, false);
-  traj.set_inputs(30e-12, true, true);
+  const core::GateModeTables tables(core::GateParams::from_nor(p));
+  core::ModeSegment traj;
+  traj.reset(0.0, tables.state_table(kS00).steady, tables.state_table(kS10));
+  const ode::Vec2 x_mid = traj.state_at(30e-12);
+  traj.enter(30e-12, x_mid, tables.state_table(kS11), "nor2 trajectory");
 
   // RK45 through the same mode sequence.
   ode::Vec2 x{p.vdd, p.vdd};
-  x = rk45_mode(p, Mode::kS10, x, 30e-12);
-  const ode::Vec2 x_mid = traj.state_at(30e-12);
+  x = rk45_mode(p, kS10, x, 30e-12);
   EXPECT_NEAR(x.x, x_mid.x, 1e-8);
   EXPECT_NEAR(x.y, x_mid.y, 1e-8);
-  x = rk45_mode(p, Mode::kS11, x, 40e-12);
+  x = rk45_mode(p, kS11, x, 40e-12);
   const ode::Vec2 x_end = traj.state_at(70e-12);
   EXPECT_NEAR(x.x, x_end.x, 1e-8);
   EXPECT_NEAR(x.y, x_end.y, 1e-8);
@@ -79,10 +92,10 @@ TEST(HybridVsRk45, DelayFromBisectionOnRk45Matches) {
   auto vo_at = [&](double t) {
     ode::Vec2 x{p.vdd, p.vdd};
     if (t <= delta) {
-      return rk45_mode(p, Mode::kS10, x, std::max(t, 1e-18)).y;
+      return rk45_mode(p, kS10, x, std::max(t, 1e-18)).y;
     }
-    x = rk45_mode(p, Mode::kS10, x, delta);
-    return rk45_mode(p, Mode::kS11, x, t - delta).y;
+    x = rk45_mode(p, kS10, x, delta);
+    return rk45_mode(p, kS11, x, t - delta).y;
   };
   // Bisection for vo = vdd/2.
   double lo = 1e-15;

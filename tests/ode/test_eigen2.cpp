@@ -3,9 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
-#include "core/modes.hpp"
-#include "core/nor_params.hpp"
+#include "core/gate_modes.hpp"
+#include "core/gate_params.hpp"
 
 namespace charlie::ode {
 namespace {
@@ -88,27 +89,24 @@ TEST(Eigen2, StiffSpectrumStaysAccurate) {
 // Every mode matrix of the NOR model must have real, non-positive
 // eigenvalues (passive RC network) -- the property the paper's closed-form
 // solutions rest on.
-class ModeSpectraReal : public ::testing::TestWithParam<core::Mode> {};
+class ModeSpectraReal : public ::testing::TestWithParam<core::GateState> {};
 
 TEST_P(ModeSpectraReal, RealStableSpectrum) {
-  const auto params = core::NorParams::paper_table1();
-  const AffineOde2 sys = core::mode_ode(GetParam(), params);
+  const auto params = core::GateParams::nor2_reference();
+  const AffineOde2 sys = core::gate_mode_ode(params, GetParam());
   const Eigen2& e = sys.eigen();
   EXPECT_TRUE(e.is_real());
   EXPECT_LE(e.lambda1, 1e-6);
   EXPECT_LE(e.lambda2, 1e-6);
 }
 
+// Named S<A><B> after the paper's modes (A is bit 0 of the state).
 INSTANTIATE_TEST_SUITE_P(AllModes, ModeSpectraReal,
-                         ::testing::ValuesIn(core::kAllModes),
+                         ::testing::Range(core::GateState{0},
+                                          core::GateState{4}),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case core::Mode::kS00: return "S00";
-                             case core::Mode::kS01: return "S01";
-                             case core::Mode::kS10: return "S10";
-                             default: return info.param == core::Mode::kS10
-                                          ? "S10" : "S11";
-                           }
+                           return "S" + std::to_string(info.param & 1u) +
+                                  std::to_string(info.param >> 1);
                          });
 
 }  // namespace

@@ -8,7 +8,7 @@
 
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
-#include "core/mode_tables.hpp"
+#include "core/gate_mode_tables.hpp"
 #include "sim/circuit_builder.hpp"
 #include "sim/hybrid_gate_channel.hpp"
 #include "sim/pure_delay.hpp"
@@ -32,7 +32,7 @@ BatchConfig small_config() {
 
 CircuitFactory nor_factory() {
   const auto tables =
-      core::NorModeTables::make(core::NorParams::paper_table1());
+      core::GateModeTables::make(core::GateParams::nor2_reference());
   return [tables] {
     auto circuit = std::make_unique<Circuit>();
     const auto a = circuit->add_input("a");
@@ -136,7 +136,7 @@ TEST(BatchRunner, WorksWithSisChannels) {
 
 CircuitFactory two_stage_factory() {
   const auto tables =
-      core::NorModeTables::make(core::NorParams::paper_table1());
+      core::GateModeTables::make(core::GateParams::nor2_reference());
   return [tables] {
     auto circuit = std::make_unique<Circuit>();
     const auto a = circuit->add_input("a");

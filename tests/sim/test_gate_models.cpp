@@ -1,4 +1,6 @@
-#include "sim/nor_models.hpp"
+// The NOR2 baselines of the accuracy comparison (Fig 7): SIS channels
+// behind a zero-time boolean NOR.
+#include "sim/gate_models.hpp"
 
 #include <gtest/gtest.h>
 
@@ -22,12 +24,12 @@ TEST(NorModels, AllFactoriesProduceWorkingGates) {
   };
   check(make_inertial_gate(kNor, 2, kDelays), "inertial");
   check(make_pure_gate(kNor, 2, kDelays), "pure");
-  check(make_exp_nor(kDelays, 20e-12), "exp");
-  check(make_sumexp_nor(kDelays, 20e-12), "sumexp");
+  check(make_exp_gate(kNor, 2, kDelays, 20e-12), "exp");
+  check(make_sumexp_gate(kNor, 2, kDelays, 20e-12), "sumexp");
 }
 
 TEST(NorModels, ExpNorSisDelaysHitTargets) {
-  auto gate = make_exp_nor(kDelays, 20e-12);
+  auto gate = make_exp_gate(kNor, 2, kDelays, 20e-12);
   const waveform::DigitalTrace a(false, {1e-9, 3e-9});
   const waveform::DigitalTrace b(false, {});
   const auto out = run_gate_channel(*gate, a, b, 0.0, 5e-9);
@@ -37,7 +39,7 @@ TEST(NorModels, ExpNorSisDelaysHitTargets) {
 }
 
 TEST(NorModels, SumExpNorSisDelaysHitTargets) {
-  auto gate = make_sumexp_nor(kDelays, 20e-12);
+  auto gate = make_sumexp_gate(kNor, 2, kDelays, 20e-12);
   const waveform::DigitalTrace a(false, {1e-9, 3e-9});
   const waveform::DigitalTrace b(false, {});
   const auto out = run_gate_channel(*gate, a, b, 0.0, 5e-9);
@@ -49,11 +51,11 @@ TEST(NorModels, SumExpNorSisDelaysHitTargets) {
 TEST(NorModels, SisModelsBlindToWhichInputSwitched) {
   // The paper's central criticism: a single-input output channel gives the
   // same delay regardless of which input caused the transition.
-  auto gate = make_exp_nor(kDelays, 20e-12);
+  auto gate = make_exp_gate(kNor, 2, kDelays, 20e-12);
   const waveform::DigitalTrace a1(false, {1e-9});
   const waveform::DigitalTrace b1(false, {});
   const auto out_a = run_gate_channel(*gate, a1, b1, 0.0, 2e-9);
-  auto gate2 = make_exp_nor(kDelays, 20e-12);
+  auto gate2 = make_exp_gate(kNor, 2, kDelays, 20e-12);
   const auto out_b = run_gate_channel(*gate2, b1, a1, 0.0, 2e-9);
   ASSERT_EQ(out_a.n_transitions(), 1u);
   ASSERT_EQ(out_b.n_transitions(), 1u);

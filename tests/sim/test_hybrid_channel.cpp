@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/delay_model.hpp"
-#include "core/mode_tables.hpp"
+#include "core/gate_mode_tables.hpp"
 #include "util/error.hpp"
 
 namespace charlie::sim {
@@ -20,10 +20,10 @@ TEST_F(HybridChannelFixture, InitialStateFollowsInputs) {
   HybridGateChannel ch(gate_);
   ch.initialize(0.0, {false, false});
   EXPECT_TRUE(ch.initial_output());
-  EXPECT_EQ(ch.input_state(), core::gate_state_from_mode(core::Mode::kS00));
+  EXPECT_EQ(ch.input_state(), 0b00u);  // (A,B) = (0,0)
   ch.initialize(0.0, {true, false});
   EXPECT_FALSE(ch.initial_output());
-  EXPECT_EQ(ch.input_state(), core::gate_state_from_mode(core::Mode::kS10));
+  EXPECT_EQ(ch.input_state(), 0b01u);  // (A,B) = (1,0): A is bit 0
 }
 
 TEST_F(HybridChannelFixture, SisFallingDelayMatchesDelayModel) {
@@ -117,7 +117,7 @@ TEST_F(HybridChannelFixture, CommittedCrossingSurvivesLateReversal) {
 TEST_F(HybridChannelFixture, SharedTablesMatchPrivateTables) {
   // Channels sharing one precomputed table behave identically to channels
   // that derive their own.
-  const auto tables = core::NorModeTables::make(params_);
+  const auto tables = core::GateModeTables::make(gate_);
   HybridGateChannel shared1(tables);
   HybridGateChannel shared2(tables);
   HybridGateChannel owned(gate_);

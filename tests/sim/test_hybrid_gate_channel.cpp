@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/gate_delay.hpp"
-#include "core/mode_tables.hpp"
 #include "sim/circuit.hpp"
 #include "sim/gate_models.hpp"
 #include "sim/pure_delay.hpp"
@@ -14,26 +13,6 @@ namespace {
 
 using core::GateParams;
 using core::GateTopology;
-
-// A channel on the paper's NOR2 view of the tables (NorModeTables) must
-// behave exactly like one on the equivalent GateParams (they share the
-// derivation; this pins the GateState plumbing).
-TEST(HybridGateChannel, Nor2FromNorModeTablesMatchesGateParams) {
-  const auto nor = core::NorParams::paper_table1();
-  HybridGateChannel general(GateParams::from_nor(nor));
-  HybridGateChannel paper(core::NorModeTables::make(nor));
-  for (auto* ch :
-       std::initializer_list<HybridGateChannel*>{&general, &paper}) {
-    ch->initialize(0.0, {false, false});
-    ch->on_input(1e-9, 0, true);
-    ch->on_input(1e-9 + 7e-12, 1, true);
-  }
-  ASSERT_TRUE(general.pending().has_value());
-  ASSERT_TRUE(paper.pending().has_value());
-  EXPECT_EQ(general.pending()->t, paper.pending()->t);
-  EXPECT_EQ(general.pending()->value, paper.pending()->value);
-  EXPECT_EQ(general.input_state(), paper.input_state());
-}
 
 class Nor3ChannelFixture : public ::testing::Test {
  protected:

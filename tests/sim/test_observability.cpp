@@ -14,7 +14,7 @@
 
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
-#include "core/mode_tables.hpp"
+#include "core/gate_mode_tables.hpp"
 #include "obs/trace_recorder.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/circuit_builder.hpp"
@@ -45,7 +45,7 @@ BatchConfig small_config() {
 
 CircuitFactory nor_factory() {
   const auto tables =
-      core::NorModeTables::make(core::NorParams::paper_table1());
+      core::GateModeTables::make(core::GateParams::nor2_reference());
   return [tables] {
     auto circuit = std::make_unique<Circuit>();
     const auto a = circuit->add_input("a");

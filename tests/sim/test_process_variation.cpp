@@ -11,7 +11,7 @@
 
 #include "cell/cell_library.hpp"
 #include "cell/netlist.hpp"
-#include "core/mode_tables.hpp"
+#include "core/gate_mode_tables.hpp"
 #include "core/process_point.hpp"
 #include "batch_result_equal.hpp"
 #include "sim/batch_runner.hpp"
@@ -101,7 +101,7 @@ struct BoundCircuit {
 
 BoundCircuit bound_circuit() {
   BoundCircuit bc;
-  bc.tables = core::NorModeTables::make(core::NorParams::paper_table1());
+  bc.tables = core::GateModeTables::make(core::GateParams::nor2_reference());
   bc.circuit = std::make_unique<Circuit>();
   const auto a = bc.circuit->add_input("a");
   const auto b = bc.circuit->add_input("b");
@@ -173,7 +173,7 @@ BatchConfig stat_config() {
 
 CircuitFactory nor_chain_factory() {
   const auto tables =
-      core::NorModeTables::make(core::NorParams::paper_table1());
+      core::GateModeTables::make(core::GateParams::nor2_reference());
   return [tables] {
     auto circuit = std::make_unique<Circuit>();
     const auto a = circuit->add_input("a");

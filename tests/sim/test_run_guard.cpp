@@ -6,7 +6,7 @@
 #include <memory>
 #include <string>
 
-#include "core/mode_tables.hpp"
+#include "core/gate_mode_tables.hpp"
 #include "sim/circuit.hpp"
 #include "sim/hybrid_gate_channel.hpp"
 #include "sim/pure_delay.hpp"
@@ -147,7 +147,7 @@ TEST(RunGuard, InjectedSolverFaultBecomesStructuredFailure) {
       {util::FaultInjector::Action::kConvergenceError, 0, -1});
 
   const auto tables =
-      core::NorModeTables::make(core::NorParams::paper_table1());
+      core::GateModeTables::make(core::GateParams::nor2_reference());
   Circuit c;
   const auto a = c.add_input("a");
   const auto b = c.add_input("b");
@@ -173,7 +173,7 @@ TEST(RunGuard, ForcedNewtonFallbackIsCountedInDiagnostics) {
       "crossing.newton", {util::FaultInjector::Action::kForceBranch, 0, -1});
 
   const auto tables =
-      core::NorModeTables::make(core::NorParams::paper_table1());
+      core::GateModeTables::make(core::GateParams::nor2_reference());
   Circuit c;
   const auto a = c.add_input("a");
   const auto b = c.add_input("b");
@@ -199,7 +199,7 @@ TEST(RunGuard, InjectedNanStateBecomesStructuredFailure) {
       "hybrid_channel.state", {util::FaultInjector::Action::kNanValue, 0, -1});
 
   const auto tables =
-      core::NorModeTables::make(core::NorParams::paper_table1());
+      core::GateModeTables::make(core::GateParams::nor2_reference());
   Circuit c;
   const auto a = c.add_input("a");
   const auto b = c.add_input("b");
