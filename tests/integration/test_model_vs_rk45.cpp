@@ -9,7 +9,7 @@
 
 #include "core/delay_model.hpp"
 #include "core/two_exp_crossing.hpp"
-#include "ode/rk45.hpp"
+#include "support/rk45.hpp"
 
 namespace charlie {
 namespace {

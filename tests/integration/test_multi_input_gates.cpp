@@ -8,7 +8,7 @@
 
 #include "core/gate_delay.hpp"
 #include "core/gate_parametrize.hpp"
-#include "ode/rk45.hpp"
+#include "support/rk45.hpp"
 #include "sim/accuracy.hpp"
 #include "sim/gate_models.hpp"
 #include "sim/hybrid_gate_channel.hpp"

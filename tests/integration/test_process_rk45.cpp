@@ -16,7 +16,7 @@
 #include "core/gate_params.hpp"
 #include "core/mode_table_grid.hpp"
 #include "core/process_point.hpp"
-#include "ode/rk45.hpp"
+#include "support/rk45.hpp"
 #include "sim/two_exp_crossing.hpp"
 
 namespace charlie {

@@ -1,4 +1,4 @@
-#include "ode/rk45.hpp"
+#include "support/rk45.hpp"
 
 #include <gtest/gtest.h>
 

@@ -8,7 +8,7 @@
 
 #include <cmath>
 
-#include "ode/rk45.hpp"
+#include "support/rk45.hpp"
 #include "sim/run_channel.hpp"
 #include "wire/wire_params.hpp"
 

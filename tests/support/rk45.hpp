@@ -1,8 +1,8 @@
-// Dormand-Prince RK45 adaptive integrator.
+// Dormand-Prince RK45 adaptive integrator for the tests.
 //
 // Serves as an independent numerical cross-check of the closed-form mode
-// solutions (replacing the paper's MATLAB validation) and as a reference
-// integrator in tests of the SPICE substrate.
+// solutions (replacing the paper's MATLAB validation) and of the reduced
+// interconnect systems. Nothing in the libraries uses it.
 #pragma once
 
 #include <functional>

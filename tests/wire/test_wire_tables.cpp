@@ -9,7 +9,7 @@
 #include <cmath>
 #include <vector>
 
-#include "ode/rk45.hpp"
+#include "support/rk45.hpp"
 #include "util/error.hpp"
 #include "wire/wire_params.hpp"
 
