@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstring>
 #include <string>
 
 #if defined(__SSE2__)
@@ -74,7 +73,8 @@ void pack_mode(const ModeTable& t, double* out) {
 }
 
 // The packed layout mirrors three contiguous double runs inside ModeTable
-// (locked by the asserts below), so unpacking is three block copies.
+// (locked by the asserts below), so the blend kernels store straight into
+// the struct fields.
 static_assert(offsetof(ModeTable, xp) ==
               offsetof(ModeTable, steady) + 2 * sizeof(double));
 static_assert(offsetof(ModeTable, l1) ==
@@ -90,10 +90,21 @@ static_assert(offsetof(ModeTable, s2) ==
 static_assert(sizeof(ode::Vec2) == 2 * sizeof(double));
 static_assert(sizeof(ode::Mat2) == 4 * sizeof(double));
 
+// The inverse of pack_mode for the packed values (flags untouched).
+void store_mode_fields(const double* f, ModeTable& t) {
+  t.steady = {f[0], f[1]};
+  t.xp = {f[2], f[3]};
+  t.d = f[4];
+  t.l1 = f[5];
+  t.l2 = f[6];
+  t.p1c = f[7];
+  t.p1d = f[8];
+  t.s1 = {f[9], f[10], f[11], f[12]};
+  t.s2 = {f[13], f[14], f[15], f[16]};
+}
+
 void unpack_mode(const double* f, bool fold1, bool fold2, ModeTable& t) {
-  std::memcpy(&t.steady, f, 4 * sizeof(double));      // steady, xp
-  std::memcpy(&t.d, f + 4, 5 * sizeof(double));       // d, l1, l2, p1c, p1d
-  std::memcpy(&t.s1, f + 9, 8 * sizeof(double));      // s1, s2
+  store_mode_fields(f, t);
   t.scalar_valid = true;
   t.spectral_valid = true;
   t.fold1 = fold1;
@@ -155,9 +166,7 @@ double blend_modes_generic(const double* const* corner, const double* weight,
       for (int k = 1; k < n; ++k) acc += weight[k] * corner[k][base + j];
       f[j] = acc;
     }
-    std::memcpy(&t.steady, f, 4 * sizeof(double));
-    std::memcpy(&t.d, f + 4, 5 * sizeof(double));
-    std::memcpy(&t.s1, f + 9, 8 * sizeof(double));
+    store_mode_fields(f, t);
 #endif
   }
   const std::size_t h = n_modes * kModeStride;

@@ -91,7 +91,9 @@ TEST(ModeTableGrid, OffGridPointsTrackExactDerivation) {
       ASSERT_TRUE(b.scalar_valid);
       ASSERT_TRUE(a.scalar_valid);
       EXPECT_LT(rel_err(a.d, b.d), 1e-2);
-      if (!b.fold1) EXPECT_LT(rel_err(a.l1, b.l1), 1e-2);
+      if (!b.fold1) {
+        EXPECT_LT(rel_err(a.l1, b.l1), 1e-2);
+      }
       EXPECT_LT(rel_err(a.l2, b.l2), 1e-2);
       EXPECT_LT(rel_err(a.steady.y, b.steady.y), 1e-2);
       EXPECT_EQ(a.fold1, b.fold1);

@@ -9,6 +9,11 @@
 # The determinism lint (tools/lint_determinism.sh) rides along: src/ must
 # stay free of nondeterminism sources (bare rand(), std::random_device,
 # wall-clock seeding, unordered-container iteration).
+#
+# The build must be warning-free: any compiler warning located in a repo
+# file fails the gate. An incremental build recompiles, and so re-reports,
+# only what changed; CI builds from scratch. Warnings inside system headers
+# (GCC 12's -Wrestrict reports in /usr/include/c++/12) are not counted.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +33,15 @@ if [[ "${1:-}" == "--hygiene-only" ]]; then
 fi
 
 cmake --preset release
-cmake --build --preset release -j"$(nproc)"
+build_log=$(mktemp)
+trap 'rm -f "$build_log"' EXIT
+cmake --build --preset release -j"$(nproc)" 2>&1 | tee "$build_log"
+repo_warnings=$(awk -v root="$PWD/" \
+  'index($0, root) == 1 && index($0, ": warning: ")' "$build_log")
+if [[ -n "$repo_warnings" ]]; then
+  echo "error: the build warns in repo files:" >&2
+  echo "$repo_warnings" >&2
+  exit 1
+fi
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 echo "check_tree: OK"
