@@ -10,6 +10,18 @@
 // ratio becomes achievable by the RC network (an n-strong parallel pull can
 // speed up at most n-fold), then the R/C values are fitted by least squares
 // in log space on the delta_min-corrected targets.
+//
+// The two fits apply that ratio rule to different delays:
+//   * fit_gate_params: the slowest single-input delay in the parallel
+//     network's direction (falling for NOR-like, rising for NAND-like)
+//     against the simultaneous one;
+//   * fit_nor_params: the paper's Section V rule, fall(-inf) against
+//     fall(0).
+// They stay apart because the N-input rule moves the paper's numbers: on
+// Table I's own characteristic delays it gives delta_min = 16.98 ps against
+// 17.20 ps, and the NOR2 fit then lands C_O * R4 5.7% from Table I (4.3%
+// under the paper's rule), outside the 5% that
+// PaperFit.Table1LikeParametersRecoveredFromPaperTargets allows.
 #pragma once
 
 #include <functional>
@@ -70,9 +82,9 @@ struct PlausibleRange {
   double lo = 0.0;
   double hi = 0.0;
 };
-inline constexpr PlausibleRange kResistanceBox{1e3, 400e3};        // [ohm]
-inline constexpr PlausibleRange kInternalCapBox{5e-18, 5e-15};     // [farad]
-inline constexpr PlausibleRange kOutputCapBox{50e-18, 50e-15};     // [farad]
+inline constexpr PlausibleRange kResistanceBox{1e3, 400e3};     // [ohm]
+inline constexpr PlausibleRange kInternalCapBox{5e-18, 5e-15};  // [farad]
+inline constexpr PlausibleRange kOutputCapBox{50e-18, 50e-15};  // [farad]
 inline constexpr double kBoxWeight = 0.1;
 
 /// Summed log-distance of [R..., C_int, C_out] outside the box, 0 inside.
